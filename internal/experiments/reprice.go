@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"sync"
 
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/power"
@@ -94,15 +95,22 @@ type ActivityRecord struct {
 }
 
 // Reprice prices a cached activity record under opt without simulating:
-// build the unit set a simulation under opt would build, load the counters,
+// take the unit set a simulation under opt would build, load the counters,
 // evaluate the closed-form accessors. Execution-side fields (accuracy, IPC,
 // instruction counts) carry over from the record untouched; only the machine
 // label and the five power metrics are recomputed.
+//
+// The unit set comes from the fold-meter memo, so only the first fold of a
+// pricing variant pays for cpu.NewMeter; later folds are a counter load plus
+// the accessor reads.
 func Reprice(rec ActivityRecord, opt cpu.Options) (Run, error) {
-	m, err := cpu.NewMeter(opt)
+	fm, err := foldMeterFor(opt)
 	if err != nil {
 		return Run{}, err
 	}
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	m := fm.m
 	if err := m.SetActivity(rec.Activity); err != nil {
 		return Run{}, err
 	}
@@ -114,6 +122,53 @@ func Reprice(rec ActivityRecord, opt cpu.Options) (Run, error) {
 	r.TotalEnergy = m.TotalEnergy()
 	r.EnergyDelay = m.EnergyDelay()
 	return r, nil
+}
+
+// foldMeterCap bounds the fold-meter memo. A full figure suite or a large
+// sweep touches well under this many distinct Options; past it the memo is
+// cleared and refilled, which costs rebuilds but never changes a result.
+const foldMeterCap = 256
+
+// foldMeter is one memoized unit set. SetActivity overwrites every counter
+// the read accessors consult, so a fold on a reused meter evaluates exactly
+// what it would on a fresh one; mu serializes folds that share the meter.
+type foldMeter struct {
+	mu sync.Mutex
+	m  *power.Meter
+}
+
+// foldMeters memoizes cpu.NewMeter by the full Options — the same key
+// runKey uses — so every field that shapes the unit set is part of it.
+var foldMeters = struct {
+	sync.Mutex
+	byOpt map[cpu.Options]*foldMeter
+}{byOpt: make(map[cpu.Options]*foldMeter)}
+
+// foldMeterFor returns the memoized unit set for opt, building it on first
+// use. The build runs outside the memo lock; two racing builders of one key
+// both succeed and the first insert wins.
+func foldMeterFor(opt cpu.Options) (*foldMeter, error) {
+	foldMeters.Lock()
+	fm := foldMeters.byOpt[opt]
+	foldMeters.Unlock()
+	if fm != nil {
+		return fm, nil
+	}
+	m, err := cpu.NewMeter(opt)
+	if err != nil {
+		return nil, err
+	}
+	foldMeters.Lock()
+	defer foldMeters.Unlock()
+	if fm := foldMeters.byOpt[opt]; fm != nil {
+		return fm, nil
+	}
+	if len(foldMeters.byOpt) >= foldMeterCap {
+		clear(foldMeters.byOpt)
+	}
+	fm = &foldMeter{m: m}
+	foldMeters.byOpt[opt] = fm
+	return fm, nil
 }
 
 // RepriceStats is a harness's activity-path traffic, for CLI display and

@@ -23,7 +23,7 @@ type UnitActivity struct {
 // order. Two simulations that differ only in pricing options (which units
 // cost, not which accesses happen) export bit-identical Activity values, so
 // one exported vector can be repriced under any pricing configuration via
-// SetActivity on a freshly built meter.
+// SetActivity on a meter built for that configuration.
 type Activity struct {
 	// Cycles is the meter's total elapsed cycles.
 	Cycles uint64 `json:"cycles"` //bp:unit cycle
@@ -50,8 +50,9 @@ func (m *Meter) Activity() Activity {
 // SetActivity loads a previously exported activity vector into the meter, so
 // the closed-form read accessors (TotalEnergy, AveragePower, EnergyDelay, ...)
 // price that activity under this meter's unit energies and gating style.
-// Units are matched by name and every meter unit must be covered — a mismatch
-// means the activity was exported from a differently shaped machine and is an
+// Units are matched by position — the registration order Activity exports —
+// and every entry must name the meter unit at its position. A mismatch means
+// the activity was exported from a differently shaped machine and is an
 // error, never a silent partial restore.
 //
 // The meter must use AccountDeferred: the eager accounting modes fold energy
@@ -64,20 +65,18 @@ func (m *Meter) SetActivity(a Activity) error {
 		return fmt.Errorf("power: activity has %d units, meter has %d", len(a.Units), len(m.units))
 	}
 	// Validate the whole vector before touching any unit, so a failed
-	// restore leaves the meter unmodified. Names are unique per meter, so a
-	// duplicate in the input would leave some unit silently unrestored.
-	seen := make(map[string]bool, len(a.Units))
-	for _, ua := range a.Units {
-		if m.byName[ua.Name] == nil {
-			return fmt.Errorf("power: activity names unknown unit %q", ua.Name)
+	// restore leaves the meter unmodified. Meter names are unique, so the
+	// positional match also rejects a vector naming some unit twice.
+	for i, ua := range a.Units {
+		if want := m.units[i].Name; ua.Name != want {
+			if m.byName[ua.Name] == nil {
+				return fmt.Errorf("power: activity names unknown unit %q", ua.Name)
+			}
+			return fmt.Errorf("power: activity unit %d is %q, meter registers %q there", i, ua.Name, want)
 		}
-		if seen[ua.Name] {
-			return fmt.Errorf("power: activity names unit %q twice", ua.Name)
-		}
-		seen[ua.Name] = true
 	}
-	for _, ua := range a.Units {
-		u := m.byName[ua.Name]
+	for i, ua := range a.Units {
+		u := m.units[i]
 		u.activeCycles = ua.ActiveCycles
 		u.totalReads = ua.Reads
 		u.totalWrites = ua.Writes

@@ -115,6 +115,14 @@ func TestSetActivityRejectsMismatches(t *testing.T) {
 		t.Fatal("duplicate unit name accepted")
 	}
 
+	// Matching is positional: the same units in another order are a vector
+	// from a differently registered machine.
+	reordered := act
+	reordered.Units = []UnitActivity{act.Units[1], act.Units[0]}
+	if err := build().SetActivity(reordered); err == nil {
+		t.Fatal("reordered units accepted")
+	}
+
 	eager := build()
 	eager.Accounting = AccountPerCycle
 	if err := eager.SetActivity(act); err == nil {

@@ -316,7 +316,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	job := newSweepJob(hdr.ID, ndjsonLine(hdr), cancel)
 	job.acquire() // the creating stream's watch; released below
 	s.registerJob(job)
-	go s.runSweep(jobCtx, job, points) //bplint:allow goroutine -- the job outlives this request by design; the watcher refcount cancels it and runSweep joins its pool before returning
+	go s.runSweep(jobCtx, job, rc, points) //bplint:allow goroutine -- the job outlives this request by design; the watcher refcount cancels it and runSweep joins its pool before returning
 	defer job.release()
 	s.streamJob(w, r, job)
 }
@@ -340,8 +340,9 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // grid order as their results become final. The emit loop waits on point i
 // before looking at i+1 — later points may finish earlier, but their lines
 // are withheld until their turn, which is what makes the body byte-identical
-// at any worker count while still streaming incrementally.
-func (s *Server) runSweep(ctx context.Context, job *sweepJob, points []experiments.Job) {
+// at any worker count while still streaming incrementally. rc is the run
+// configuration whose windows the job's header advertises.
+func (s *Server) runSweep(ctx context.Context, job *sweepJob, rc experiments.RunConfig, points []experiments.Job) {
 	n := len(points)
 	results := make([]experiments.Run, n)
 	errs := make([]error, n)
@@ -356,7 +357,7 @@ func (s *Server) runSweep(ctx context.Context, job *sweepJob, points []experimen
 		experiments.ForEachCtx(ctx, s.cfg.Parallel, n, func(i int) {
 			// A fresh harness per point: the memo maps are per-goroutine,
 			// all sharing happens in the RunCache underneath.
-			h := s.harness(ctx, s.rcFor(job))
+			h := s.harness(ctx, rc)
 			results[i] = h.Simulate(points[i].Bench, points[i].Opt)
 			errs[i] = h.Err()
 			close(ready[i])
@@ -390,17 +391,6 @@ func (s *Server) runSweep(ctx context.Context, job *sweepJob, points []experimen
 		rrs[i] = toRunResult(r)
 	}
 	job.finish(ndjsonLine(sweepSummary{Done: true, Points: n, Mean: meanResult(rrs)}), false)
-}
-
-// rcFor recovers the job's run configuration from its header line. The
-// header is the single source of truth for the resolved windows, so the
-// runner can never drift from what the stream advertises.
-func (s *Server) rcFor(job *sweepJob) experiments.RunConfig {
-	var hdr sweepHeader
-	if err := json.Unmarshal(job.header, &hdr); err != nil {
-		panic("service: sweep header round-trip: " + err.Error())
-	}
-	return experiments.RunConfig{WarmupInsts: hdr.WarmupInsts, MeasureInsts: hdr.MeasureInsts}
 }
 
 // sweepErrorText maps a job error to its stable in-stream message.

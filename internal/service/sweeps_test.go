@@ -650,6 +650,52 @@ func TestSweepClockGatingAxisReprices(t *testing.T) {
 	}
 }
 
+// TestSweepHonorsWindows pins the windows a sweep runs at: with explicit
+// non-default warmup/measure counts, the header must advertise them and
+// every point must equal what /v1/simulate (on a separate server, so no
+// cache is shared) returns for the same predictor, banking, benchmark and
+// windows.
+func TestSweepHonorsWindows(t *testing.T) {
+	const warmup, measure = 3000, 5000
+	sweepTS := httptest.NewServer(New(testConfig()).Handler())
+	defer sweepTS.Close()
+	simTS := httptest.NewServer(New(testConfig()).Handler())
+	defer simTS.Close()
+
+	body := fmt.Sprintf(`{"predictors":["Bim_4k","Hybrid_1"],"workload":"164.gzip","banked":[false,true],`+
+		`"warmup_insts":%d,"measure_insts":%d}`, warmup, measure)
+	resp, data := postSweep(t, sweepTS, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, data)
+	}
+	hdr, points, _ := parseSweep(t, data)
+	if hdr.WarmupInsts != warmup || hdr.MeasureInsts != measure {
+		t.Errorf("header advertises windows %d/%d, want %d/%d", hdr.WarmupInsts, hdr.MeasureInsts, warmup, measure)
+	}
+	if len(points) != 4 {
+		t.Fatalf("got %d point lines, want 4", len(points))
+	}
+	for _, p := range points {
+		simBody := fmt.Sprintf(`{"predictor":%q,"workload":"164.gzip","banked":%t,"warmup_insts":%d,"measure_insts":%d}`,
+			p.Predictor, p.Banked, warmup, measure)
+		resp, sdata := postSimulate(t, simTS, simBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("simulate status %d, body %s", resp.StatusCode, sdata)
+		}
+		var sr SimulateResponse
+		if err := json.Unmarshal(sdata, &sr); err != nil {
+			t.Fatalf("decoding simulate response: %v", err)
+		}
+		if len(sr.Runs) != 1 {
+			t.Fatalf("simulate returned %d runs, want 1", len(sr.Runs))
+		}
+		if p.RunResult != sr.Runs[0] {
+			t.Errorf("point %d (%s, banked=%t) differs from /v1/simulate at the same windows\n got %+v\nwant %+v",
+				p.Point, p.Predictor, p.Banked, p.RunResult, sr.Runs[0])
+		}
+	}
+}
+
 // FuzzSweepRequestDecode hardens the grid decoder: no input may panic it,
 // and anything it accepts must satisfy the structural invariants the handler
 // depends on.

@@ -28,6 +28,11 @@ echo "lint allowances: inventory matches committed lint_allowances.txt"
 
 go test -race ./...
 
+# The benchmark is its own module, so ./... above skips it. Its toy-size
+# smoke test drives every workload's checks, including reprice_sweep's
+# (196 folds per sweep, no simulations, byte-identical points).
+(cd benchmark && go test -race ./...)
+
 # Every example program must run end to end.
 for ex in examples/*/; do
     echo "example smoke: $ex"

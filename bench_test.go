@@ -169,33 +169,27 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	}
 }
 
-// BenchmarkMeterEndCycle measures the per-cycle power fold under each
-// accounting mode: deferred is the integer-only kernel, percycle is the
-// eager reference fold (the pre-kernel behavior), crosscheck runs both.
-// The meter mirrors the real machine's unit count, with about a third of
-// the units active per cycle.
+// BenchmarkMeterEndCycle measures the meter's per-cycle kernel: the
+// first-touch active-cycle count on each access plus the integer-only
+// EndCycle. The meter mirrors the real machine's unit count, with about a
+// third of the units active per cycle.
 func BenchmarkMeterEndCycle(b *testing.B) {
-	for _, mode := range []power.AccountingMode{power.AccountDeferred, power.AccountPerCycle, power.AccountCrossCheck} {
-		b.Run(mode.String(), func(b *testing.B) {
-			m := power.NewMeter(1.25e-9)
-			m.Accounting = mode
-			units := make([]*power.Unit, 34)
-			for i := range units {
-				units[i] = m.Add(power.NewFixedUnit(fmt.Sprintf("u%02d", i), power.GroupALU, 1e-10, 2))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < len(units); j += 3 {
-					units[j].Read(1)
-				}
-				m.EndCycle()
-			}
-			b.StopTimer()
-			if m.TotalEnergy() <= 0 {
-				b.Fatal("meter accumulated no energy")
-			}
-		})
+	m := power.NewMeter(1.25e-9)
+	units := make([]*power.Unit, 34)
+	for i := range units {
+		units[i] = m.Add(power.NewFixedUnit(fmt.Sprintf("u%02d", i), power.GroupALU, 1e-10, 2))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < len(units); j += 3 {
+			units[j].Read(1)
+		}
+		m.EndCycle()
+	}
+	b.StopTimer()
+	if m.TotalEnergy() <= 0 {
+		b.Fatal("meter accumulated no energy")
 	}
 }
 

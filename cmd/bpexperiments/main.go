@@ -7,12 +7,10 @@
 //	bpexperiments -quick          # shorter runs for a smoke pass
 //	bpexperiments -table 2        # one table
 //	bpexperiments -figure 16      # one figure (16 also prints 17, 12 also 13)
-//	bpexperiments -reprice=false  # re-simulate every power configuration
 //
-// By default runs differing only in pricing knobs (banking, array model,
-// organization search, clock-gating style) are repriced from one cached
-// activity vector per execution key; -reprice=false forces a full
-// simulation per configuration. Output is byte-identical either way.
+// Runs differing only in pricing knobs (banking, array model, organization
+// search, clock-gating style) are repriced from one cached activity vector
+// per execution key, bit-identical to simulating each configuration.
 package main
 
 import (
@@ -31,7 +29,6 @@ func main() {
 	measure := flag.Uint64("measure", 0, "override measured instruction count")
 	parallel := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS); output is identical at any value")
 	segments := flag.Int("segments", 0, "split each simulation into this many checkpoint-stitched segments (0 or 1 = monolithic); output is identical at any value")
-	reprice := flag.Bool("reprice", true, "reprice pricing-only variants from cached activity vectors; output is identical at any value")
 	flag.Parse()
 
 	rc := experiments.Default
@@ -47,7 +44,6 @@ func main() {
 	h := experiments.NewHarness(rc)
 	h.Parallel = *parallel
 	h.Segments = *segments
-	h.Reprice = *reprice
 	w := os.Stdout
 
 	switch {

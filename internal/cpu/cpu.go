@@ -64,12 +64,6 @@ type Options struct {
 	// ClockGating selects the Wattch conditional-clocking style (default
 	// CC3, the paper's "non-ideal aggressive clock gating").
 	ClockGating power.GatingStyle
-	// Accounting selects the power-accounting mode (default AccountDeferred,
-	// the integer-counter kernel; AccountPerCycle folds eagerly every cycle;
-	// AccountCrossCheck runs both and panics on any disagreement). All modes
-	// report identical energies — the knob exists for validation and for the
-	// EndCycle micro-benchmarks.
-	Accounting power.AccountingMode
 	// ChargeLookupsPerBranch is an ablation of the paper's fetch-engine
 	// accounting: instead of charging one predictor + BTB lookup per active
 	// fetch cycle (the paper's model — the structures are probed before the

@@ -123,7 +123,6 @@ func NewMeter(opt Options) (*power.Meter, error) {
 		jrs)
 	m := power.NewMeter(cfg.CycleSeconds())
 	m.Style = opt.ClockGating
-	m.Accounting = opt.Accounting
 	if _, err := frontend.NewRegistry().Build(spec, m); err != nil {
 		return nil, fmt.Errorf("cpu: building power model: %w", err)
 	}
@@ -135,7 +134,6 @@ func NewMeter(opt Options) (*power.Meter, error) {
 func (s *Sim) buildPowerModel() error {
 	m := power.NewMeter(s.cfg.CycleSeconds())
 	m.Style = s.opt.ClockGating
-	m.Accounting = s.opt.Accounting
 	s.meter = m
 
 	built, err := frontend.NewRegistry().Build(s.frontendSpec(), m)

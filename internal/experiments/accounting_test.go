@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,49 +12,133 @@ import (
 	"bpredpower/internal/config"
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/power"
+	"bpredpower/internal/program"
 	"bpredpower/internal/workload"
 )
 
-// The deferred accounting kernel must reproduce the eager per-cycle
-// reference bit-for-bit at the figure level, for all four gating styles:
-// every float in the Run rows — energies, powers, EDP — must be identical,
-// and the cross-check mode (which asserts agreement internally every read)
-// must complete without panicking.
+// runDiff lists the fields in which two Runs differ, floats compared as
+// float64 bits: printed output rounds, so only bit equality shows that a
+// fold computes exactly what the simulator does.
+func runDiff(got, want Run) []string {
+	var diffs []string
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		g, w := gv.Field(i), wv.Field(i)
+		same := g.Interface() == w.Interface()
+		if g.Kind() == reflect.Float64 {
+			same = math.Float64bits(g.Float()) == math.Float64bits(w.Float())
+		}
+		if !same {
+			diffs = append(diffs, fmt.Sprintf("%s: got %v, want %v", gv.Type().Field(i).Name, g, w))
+		}
+	}
+	return diffs
+}
+
+// directRun simulates b under the full opt, pricing options included — the
+// reference a harness Run is checked against.
+func directRun(t *testing.T, p *program.Program, b workload.Benchmark, opt cpu.Options, rc RunConfig) Run {
+	t.Helper()
+	r, _, err := simulateCtx(context.Background(), p, b, opt, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// Every clock-gating style is a fold of the CC3 base run, and each must
+// price exactly what a simulation under that style accumulates.
 func TestAccountingEquivalenceAcrossGatingStyles(t *testing.T) {
 	bench, err := workload.ByName("164.gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := RunConfig{WarmupInsts: 4000, MeasureInsts: 8000}
+	h := NewHarness(rc)
+	h.Parallel = 1
 	for _, style := range []power.GatingStyle{power.CC0, power.CC1, power.CC2, power.CC3} {
 		t.Run(style.String(), func(t *testing.T) {
-			runWith := func(mode power.AccountingMode) Run {
-				h := NewHarness(rc)
-				h.Parallel = 1
-				r := h.Simulate(bench, cpu.Options{
-					Predictor:   bpred.Hybrid1,
-					ClockGating: style,
-					Accounting:  mode,
-				})
-				if err := h.Err(); err != nil {
-					t.Fatalf("mode %s: %v", mode, err)
-				}
-				// Machine labels differ by the accounting suffix (display
-				// only); blank it so the struct comparison sees physics only.
-				r.Machine = ""
-				return r
+			opt := cpu.Options{Predictor: bpred.Hybrid1, ClockGating: style}
+			got := h.Simulate(bench, opt)
+			if err := h.Err(); err != nil {
+				t.Fatal(err)
 			}
-			deferred := runWith(power.AccountDeferred)
-			eager := runWith(power.AccountPerCycle)
-			cross := runWith(power.AccountCrossCheck)
-			if deferred != eager {
-				t.Errorf("deferred and per-cycle accounting diverged:\n deferred: %+v\n percycle: %+v", deferred, eager)
-			}
-			if deferred != cross {
-				t.Errorf("deferred and cross-check accounting diverged:\n deferred: %+v\n crosscheck: %+v", deferred, cross)
+			want := directRun(t, h.programFor(bench), bench, opt, rc)
+			for _, d := range runDiff(got, want) {
+				t.Error(d)
 			}
 		})
 	}
+	if st := h.RepriceStats(); st.Simulations != 1 || st.Folds != 3 {
+		t.Fatalf("reprice stats = %+v, want 1 simulation and 3 folds", st)
+	}
+}
+
+// TestFoldMatchesSimulationAcrossPlan is the end-to-end check that pricing
+// by fold changes no number. Every distinct job of the full figure plan is
+// produced twice: by a harness, which simulates each execution key once and
+// folds the pricing variants from its activity record, and by a simulation
+// of its own under the job's full Options. The two Runs must agree field for
+// field, floats as bits. Every activity vector the simulations export must
+// also be one SetActivity accepts: no unit active on more cycles than ran.
+func TestFoldMatchesSimulationAcrossPlan(t *testing.T) {
+	rc := RunConfig{WarmupInsts: 4000, MeasureInsts: 8000}
+	var jobs []Job
+	seen, execKeys := map[runKey]bool{}, map[runKey]bool{}
+	nonBase := 0
+	for _, j := range planAll() {
+		k := runKey{j.Bench.Name, j.Opt}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		jobs = append(jobs, j)
+		execOpt, pk := SplitOptions(j.Opt)
+		execKeys[runKey{j.Bench.Name, execOpt}] = true
+		if !pk.IsBase() {
+			nonBase++
+		}
+	}
+	if nonBase == 0 {
+		t.Fatal("the plan has no pricing variants to fold")
+	}
+
+	h := NewHarness(rc)
+	h.Prefetch(jobs)
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.RepriceStats(); st.Folds != uint64(nonBase) || st.Simulations != uint64(len(execKeys)) {
+		t.Fatalf("harness ran %d simulations and %d folds; want %d and %d",
+			st.Simulations, st.Folds, len(execKeys), nonBase)
+	}
+
+	progs := make([]*program.Program, len(jobs))
+	for i, j := range jobs {
+		progs[i] = h.programFor(j.Bench)
+	}
+	want := make([]Run, len(jobs))
+	acts := make([]power.Activity, len(jobs))
+	errs := make([]error, len(jobs))
+	ForEach(h.Workers(), len(jobs), func(i int) {
+		want[i], acts[i], errs[i] = simulateCtx(context.Background(), progs[i], jobs[i].Bench, jobs[i].Opt, rc)
+	})
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, ua := range acts[i].Units {
+			if ua.ActiveCycles > acts[i].Cycles {
+				t.Errorf("%s on %s: unit %s active on %d of %d cycles",
+					j.Bench.Name, machineLabel(j.Opt), ua.Name, ua.ActiveCycles, acts[i].Cycles)
+			}
+		}
+		if diffs := runDiff(h.Simulate(j.Bench, j.Opt), want[i]); len(diffs) > 0 {
+			t.Errorf("%s on %s: harness Run differs from its simulation:\n  %s",
+				j.Bench.Name, machineLabel(j.Opt), strings.Join(diffs, "\n  "))
+		}
+	}
+	t.Logf("%d jobs over %d execution keys, %d of them folded pricing variants", len(jobs), len(execKeys), nonBase)
 }
 
 // A run that hits the cycle safety limit must surface as a harness error,

@@ -11,20 +11,24 @@ import (
 	"bpredpower/internal/workload"
 )
 
-// RunCache is a concurrency-safe, bounded memo of simulation results shared
+// RunCache is a concurrency-safe, bounded memo of activity records shared
 // across harnesses. It is the serving layer's answer to the Harness memo
 // maps, which are deliberately single-goroutine: a server builds one
 // RunCache at startup, hands it to a fresh Harness per request, and gets
 //
-//   - singleflight: concurrent demand for the same (benchmark, options,
-//     run-config) key runs exactly one simulation — later arrivals block on
-//     the leader's completion (or their own context) and share its result;
+//   - singleflight: concurrent demand for the same (benchmark, execution
+//     options, run-config) key runs exactly one simulation — later arrivals
+//     block on the leader's completion (or their own context) and share its
+//     record;
 //   - a bounded LRU: completed entries beyond MaxEntries are evicted least
 //     recently used first, with approximate byte accounting exposed through
 //     Stats for the /metrics endpoint;
 //   - cancellation hygiene: a compute that returns an error (in practice
 //     ctx.Err()) is removed rather than cached, so the cache never holds a
 //     half-written or canceled entry and the next request simply retries.
+//
+// Every Run a harness reports is the base Run of one of these records or a
+// Reprice fold of one, so the cache never holds a Run on its own.
 //
 // Program images are memoized separately (Program) because they are shared
 // across every options variant of a benchmark and are never evicted — there
@@ -37,11 +41,12 @@ type RunCache struct {
 	Gate chan struct{}
 	// Hooks observe compute lifecycle; see RunCacheHooks.
 	Hooks RunCacheHooks
-	// Store, when non-nil, is a second, persistent result layer under the
-	// in-memory LRU (see RunStore). A memory miss consults it before
+	// Store, when it also implements ActivityStore, is a second, persistent
+	// layer under the in-memory LRU. A memory miss consults it before
 	// simulating, and every successful compute is written through, so
 	// restarts and replicas sharing one store start warm. Store loads do
 	// not fire Hooks (no simulation ran) and do not consume a Gate slot.
+	// Its RunStore methods are never called.
 	Store RunStore
 
 	mu         sync.Mutex
@@ -53,38 +58,40 @@ type RunCache struct {
 	evictions  uint64
 	storeHits  uint64
 	storeMiss  uint64
+	folds      uint64
 	bytes      int64
-
-	// Activity-record plane (see activitycache.go): the same singleflight +
-	// LRU + store machinery keyed by execution key, holding the per-unit
-	// counter vectors pricing variants are folded from.
-	actEntries  map[cacheKey]*actEntry
-	actLru      *list.List // of *actEntry; front = most recently used
-	repriceHits uint64
-	repriceMiss uint64
-	folds       uint64
 
 	progMu sync.Mutex
 	progs  map[string]*progEntry
 }
 
-// RunStore is a persistent second cache layer keyed exactly like the
-// in-memory entries: benchmark name, the full comparable cpu.Options, and
-// the RunConfig. Implementations must be safe for concurrent use and must
-// only ever return runs previously Saved for the identical key — results
-// are deterministic, so a load is bit-identical to recomputing.
+// RunStore is the persistent layer's Run interface, keyed by benchmark name,
+// the full comparable cpu.Options, and the RunConfig. The cache no longer
+// stores Runs — it persists activity records through ActivityStore — but
+// RunCache.Store keeps this type so existing store wrappers still fit.
 // internal/resultstore provides the on-disk implementation.
 type RunStore interface {
 	Load(bench string, opt cpu.Options, rc RunConfig) (Run, bool)
 	Save(bench string, opt cpu.Options, rc RunConfig, r Run)
 }
 
+// ActivityStore is the persistent plane for activity records, implemented
+// by internal/resultstore. A RunCache whose Store also implements it writes
+// every computed record through and answers misses from disk — replicas
+// sharing one store reprice each other's simulations instead of re-running
+// them. Implementations must be safe for concurrent use and must only ever
+// return records previously saved for the identical key.
+type ActivityStore interface {
+	LoadActivity(bench string, opt cpu.Options, rc RunConfig) (ActivityRecord, bool)
+	SaveActivity(bench string, opt cpu.Options, rc RunConfig, rec ActivityRecord)
+}
+
 // RunCacheHooks are optional instrumentation points. BeforeRun runs on the
 // computing goroutine immediately before a cache-miss simulation starts
 // (after the Gate slot is held) with that simulation's context; AfterRun
-// runs when it finishes, successfully or not. The service layer uses them
-// for worker-occupancy and throughput metrics; tests use them to observe
-// cancellation and count singleflight computes.
+// runs when it finishes, successfully or not, with the record's base Run.
+// The service layer uses them for worker-occupancy and throughput metrics;
+// tests use them to observe cancellation and count singleflight computes.
 type RunCacheHooks struct {
 	BeforeRun func(ctx context.Context)
 	AfterRun  func(r Run, err error)
@@ -101,8 +108,8 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key  cacheKey
-	done chan struct{} // closed when run/err are final
-	run  Run
+	done chan struct{} // closed when rec/err are final
+	rec  ActivityRecord
 	err  error
 	size int64
 	elem *list.Element // nil while inflight or after eviction
@@ -115,43 +122,41 @@ type progEntry struct {
 
 // CacheStats is a point-in-time snapshot of cache occupancy and traffic.
 type CacheStats struct {
+	// Hits/Misses count activity-record lookups (one per execution key a
+	// harness needs): hits were answered from memory, misses went to the
+	// store or ran the one base simulation.
 	Hits, Misses, Evictions uint64
 	// StoreHits/StoreMisses count memory misses answered by (or falling
 	// through) the persistent Store layer; both stay zero without one.
 	StoreHits, StoreMisses uint64
-	// RepriceHits/RepriceMisses count activity-record lookups (one per
-	// execution key a repricing harness needs): hits were answered from
-	// memory or the store, misses ran the one base simulation. Both also
-	// count into Hits/Misses — the activity plane is part of the cache.
 	// RepriceFolds counts pricing variants produced by closed-form folding
 	// instead of simulation.
-	RepriceHits, RepriceMisses, RepriceFolds uint64
-	Entries                                  int   // completed, resident entries (both planes)
-	Inflight                                 int   // computes in progress (both planes)
-	ActivityEntries                          int   // resident activity records
-	Bytes                                    int64 // approximate resident result bytes
-	Programs                                 int   // memoized program images
+	RepriceFolds uint64
+	Entries      int   // completed, resident records
+	Inflight     int   // computes in progress
+	Bytes        int64 // approximate resident record bytes
+	Programs     int   // memoized program images
 }
 
-// NewRunCache builds a cache bounded to maxEntries completed results
+// NewRunCache builds a cache bounded to maxEntries completed records
 // (maxEntries <= 0 means unbounded).
 func NewRunCache(maxEntries int) *RunCache {
 	return &RunCache{
 		maxEntries: maxEntries,
 		entries:    map[cacheKey]*cacheEntry{},
 		lru:        list.New(),
-		actEntries: map[cacheKey]*actEntry{},
-		actLru:     list.New(),
 		progs:      map[string]*progEntry{},
 	}
 }
 
-// Do returns the memoized Run for (bench, opt, rc), computing it via compute
-// on a miss. Concurrent calls for the same key share one compute; callers
-// whose ctx ends while waiting get ctx.Err(). A compute error is returned to
-// the leader and every waiter, and the entry is dropped so a later call
-// retries.
-func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc RunConfig, compute func(context.Context) (Run, error)) (Run, error) {
+// DoActivity returns the memoized ActivityRecord of an execution key (bench,
+// execOpt, rc), computing it via compute — one full base simulation — on a
+// miss. Concurrent calls for the same key share one compute; callers whose
+// ctx ends while waiting get ctx.Err(). A compute error is returned to the
+// leader and every waiter, and the entry is dropped so a later call retries.
+// The callers' pricing-variant folds never pass through here — only the one
+// simulation per execution key does.
+func (c *RunCache) DoActivity(ctx context.Context, bench string, opt cpu.Options, rc RunConfig, compute func(context.Context) (ActivityRecord, error)) (ActivityRecord, error) {
 	key := cacheKey{bench, opt, rc}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -161,16 +166,16 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 			// are deleted before done closes), so this is a hit.
 			c.hits++
 			c.lru.MoveToFront(e.elem)
-			r := e.run
+			rec := e.rec
 			c.mu.Unlock()
-			return r, nil
+			return rec, nil
 		default:
 		}
 		c.mu.Unlock()
 		select {
 		case <-e.done:
 			if e.err != nil {
-				return Run{}, e.err
+				return ActivityRecord{}, e.err
 			}
 			c.mu.Lock()
 			c.hits++
@@ -178,9 +183,9 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 				c.lru.MoveToFront(e.elem)
 			}
 			c.mu.Unlock()
-			return e.run, nil
+			return e.rec, nil
 		case <-ctx.Done():
-			return Run{}, ctx.Err()
+			return ActivityRecord{}, ctx.Err()
 		}
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
@@ -192,39 +197,40 @@ func (c *RunCache) Do(ctx context.Context, bench string, opt cpu.Options, rc Run
 	// hit finalizes the inflight entry exactly like a compute would, so
 	// waiters blocked on e.done share it; no hooks fire and no Gate slot is
 	// taken, because no simulation runs.
+	as, _ := c.Store.(ActivityStore)
 	fromStore := false
-	var run Run
+	var rec ActivityRecord
 	var err error
-	if c.Store != nil {
-		if r, ok := c.Store.Load(bench, opt, rc); ok {
+	if as != nil {
+		if r, ok := as.LoadActivity(bench, opt, rc); ok {
 			c.count(func() { c.storeHits++ })
-			run, fromStore = r, true
+			rec, fromStore = r, true
 		} else {
 			c.count(func() { c.storeMiss++ })
 		}
 	}
 	if !fromStore {
-		run, err = c.compute(ctx, compute)
+		rec, err = c.compute(ctx, compute)
 	}
 
 	c.mu.Lock()
-	e.run, e.err = run, err
+	e.rec, e.err = rec, err
 	if err != nil {
 		delete(c.entries, key)
 	} else {
-		e.size = runBytes(run)
+		e.size = activityBytes(rec)
 		c.bytes += e.size
 		e.elem = c.lru.PushFront(e)
 		c.evictLocked()
 	}
 	c.mu.Unlock()
 	close(e.done)
-	if err == nil && !fromStore && c.Store != nil {
+	if err == nil && !fromStore && as != nil {
 		// Write-through after waking waiters: persistence is off the
 		// response path, and an interrupted write just means a recompute.
-		c.Store.Save(bench, opt, rc, run)
+		as.SaveActivity(bench, opt, rc, rec)
 	}
-	return run, err
+	return rec, err
 }
 
 // count runs a counter mutation under the lock.
@@ -236,23 +242,23 @@ func (c *RunCache) count(fn func()) {
 
 // compute runs one cache-miss simulation: acquire a Gate slot (bounded
 // concurrency), fire the hooks, call through.
-func (c *RunCache) compute(ctx context.Context, fn func(context.Context) (Run, error)) (Run, error) {
+func (c *RunCache) compute(ctx context.Context, fn func(context.Context) (ActivityRecord, error)) (ActivityRecord, error) {
 	if c.Gate != nil {
 		select {
 		case c.Gate <- struct{}{}:
 			defer func() { <-c.Gate }()
 		case <-ctx.Done():
-			return Run{}, ctx.Err()
+			return ActivityRecord{}, ctx.Err()
 		}
 	}
 	if h := c.Hooks.BeforeRun; h != nil {
 		h(ctx)
 	}
-	r, err := fn(ctx)
+	rec, err := fn(ctx)
 	if h := c.Hooks.AfterRun; h != nil {
-		h(r, err)
+		h(rec.Run, err)
 	}
-	return r, err
+	return rec, err
 }
 
 // evictLocked drops least-recently-used completed entries until the bound
@@ -270,6 +276,12 @@ func (c *RunCache) evictLocked() {
 		c.bytes -= e.size
 		c.evictions++
 	}
+}
+
+// noteFolds records folds performed by a harness against this cache, so
+// /metrics sees fold traffic wherever the cache is shared.
+func (c *RunCache) noteFolds(n uint64) {
+	c.count(func() { c.folds += n })
 }
 
 // Program returns the (memoized, singleflighted) program image of a
@@ -294,18 +306,15 @@ func (c *RunCache) Program(b workload.Benchmark) *program.Program {
 func (c *RunCache) Stats() CacheStats {
 	c.mu.Lock()
 	s := CacheStats{
-		Hits:            c.hits,
-		Misses:          c.misses,
-		Evictions:       c.evictions,
-		StoreHits:       c.storeHits,
-		StoreMisses:     c.storeMiss,
-		RepriceHits:     c.repriceHits,
-		RepriceMisses:   c.repriceMiss,
-		RepriceFolds:    c.folds,
-		Entries:         c.lru.Len() + c.actLru.Len(),
-		Inflight:        (len(c.entries) - c.lru.Len()) + (len(c.actEntries) - c.actLru.Len()),
-		ActivityEntries: c.actLru.Len(),
-		Bytes:           c.bytes,
+		Hits:         c.hits,
+		Misses:       c.misses,
+		Evictions:    c.evictions,
+		StoreHits:    c.storeHits,
+		StoreMisses:  c.storeMiss,
+		RepriceFolds: c.folds,
+		Entries:      c.lru.Len(),
+		Inflight:     len(c.entries) - c.lru.Len(),
+		Bytes:        c.bytes,
 	}
 	c.mu.Unlock()
 	c.progMu.Lock()
@@ -314,9 +323,15 @@ func (c *RunCache) Stats() CacheStats {
 	return s
 }
 
-// runBytes approximates the resident size of one cached result: the struct
-// itself plus its two string payloads and the key's benchmark name.
-func runBytes(r Run) int64 {
-	return int64(unsafe.Sizeof(r)) + int64(unsafe.Sizeof(cacheKey{})) +
+// activityBytes approximates the resident size of one cached record: the
+// Run with its string payloads, the key's benchmark name, the per-unit
+// counter slice, and the unit-name strings.
+func activityBytes(rec ActivityRecord) int64 {
+	r := rec.Run
+	n := int64(unsafe.Sizeof(rec)) + int64(unsafe.Sizeof(cacheKey{})) +
 		int64(2*len(r.Benchmark)+len(r.Machine))
+	for _, u := range rec.Activity.Units {
+		n += int64(unsafe.Sizeof(u)) + int64(len(u.Name))
+	}
+	return n
 }

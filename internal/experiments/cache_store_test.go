@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,35 +14,44 @@ import (
 	"bpredpower/internal/workload"
 )
 
-// fakeStore is an in-memory RunStore that records its traffic, standing in
-// for internal/resultstore so the layering contract can be tested without
-// disk.
+// fakeStore is an in-memory ActivityStore that records its traffic,
+// standing in for internal/resultstore so the layering contract can be
+// tested without disk. Its RunStore methods exist only because
+// RunCache.Store is typed RunStore; the cache must never call them.
 type fakeStore struct {
 	mu    sync.Mutex
-	m     map[string]Run
+	m     map[string]ActivityRecord
 	loads int
 	saves int
 }
 
-func newFakeStore() *fakeStore { return &fakeStore{m: map[string]Run{}} }
+func newFakeStore() *fakeStore { return &fakeStore{m: map[string]ActivityRecord{}} }
 
 func (f *fakeStore) key(bench string, opt cpu.Options, rc RunConfig) string {
 	return fmt.Sprintf("%s|%#v|%#v", bench, opt, rc)
 }
 
-func (f *fakeStore) Load(bench string, opt cpu.Options, rc RunConfig) (Run, bool) {
+func (f *fakeStore) Load(string, cpu.Options, RunConfig) (Run, bool) {
+	panic("run cache called RunStore.Load")
+}
+
+func (f *fakeStore) Save(string, cpu.Options, RunConfig, Run) {
+	panic("run cache called RunStore.Save")
+}
+
+func (f *fakeStore) LoadActivity(bench string, opt cpu.Options, rc RunConfig) (ActivityRecord, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.loads++
-	r, ok := f.m[f.key(bench, opt, rc)]
-	return r, ok
+	rec, ok := f.m[f.key(bench, opt, rc)]
+	return rec, ok
 }
 
-func (f *fakeStore) Save(bench string, opt cpu.Options, rc RunConfig, r Run) {
+func (f *fakeStore) SaveActivity(bench string, opt cpu.Options, rc RunConfig, rec ActivityRecord) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.saves++
-	f.m[f.key(bench, opt, rc)] = r
+	f.m[f.key(bench, opt, rc)] = rec
 }
 
 func (f *fakeStore) counts() (loads, saves int) {
@@ -50,10 +60,19 @@ func (f *fakeStore) counts() (loads, saves int) {
 	return f.loads, f.saves
 }
 
+// fakeRecord is a small activity record for cache-contract tests that never
+// fold it.
+func fakeRecord(bench string) ActivityRecord {
+	return ActivityRecord{
+		Run:      Run{Benchmark: bench, Machine: "m", Accuracy: 0.875, Committed: 60000},
+		Activity: power.Activity{Cycles: 9, Units: []power.UnitActivity{{Name: "u", ActiveCycles: 4, Reads: 5}}},
+	}
+}
+
 // TestStoreWriteThroughAndWarmStart is the layering contract end to end:
 // a cold cache over an empty store computes once and writes through; a
 // second cold cache over the same store answers from it without computing;
-// and the loaded run is identical to the computed one.
+// and the loaded record is identical to the computed one.
 func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	opt := cpu.Options{Predictor: bpred.Bim4k}
 	store := newFakeStore()
@@ -61,11 +80,11 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	c1 := NewRunCache(8)
 	c1.Store = store
 	computes := 0
-	compute := func(context.Context) (Run, error) {
+	compute := func(context.Context) (ActivityRecord, error) {
 		computes++
-		return Run{Benchmark: "164.gzip", Machine: "m", Accuracy: 0.875, Committed: 60000}, nil
+		return fakeRecord("164.gzip"), nil
 	}
-	want, err := c1.Do(context.Background(), "164.gzip", opt, Quick, compute)
+	want, err := c1.DoActivity(context.Background(), "164.gzip", opt, Quick, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +96,7 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	}
 
 	// Same cache again: memory hit, the store is not consulted a second time.
-	if _, err := c1.Do(context.Background(), "164.gzip", opt, Quick, compute); err != nil {
+	if _, err := c1.DoActivity(context.Background(), "164.gzip", opt, Quick, compute); err != nil {
 		t.Fatal(err)
 	}
 	if computes != 1 {
@@ -90,15 +109,15 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 	// A fresh cache over the same store: store hit, no compute.
 	c2 := NewRunCache(8)
 	c2.Store = store
-	got, err := c2.Do(context.Background(), "164.gzip", opt, Quick, func(context.Context) (Run, error) {
+	got, err := c2.DoActivity(context.Background(), "164.gzip", opt, Quick, func(context.Context) (ActivityRecord, error) {
 		t.Fatal("warm-start consulted compute")
-		return Run{}, nil
+		return ActivityRecord{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("store round trip changed the run:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store round trip changed the record:\n got %+v\nwant %+v", got, want)
 	}
 	cs := c2.Stats()
 	if cs.StoreHits != 1 || cs.StoreMisses != 0 {
@@ -115,7 +134,7 @@ func TestStoreWriteThroughAndWarmStart(t *testing.T) {
 func TestStoreHitSkipsHooksAndGate(t *testing.T) {
 	opt := cpu.Options{Predictor: bpred.Bim4k}
 	store := newFakeStore()
-	store.Save("164.gzip", opt, Quick, Run{Benchmark: "164.gzip", Machine: "m"})
+	store.SaveActivity("164.gzip", opt, Quick, fakeRecord("164.gzip"))
 
 	c := NewRunCache(8)
 	c.Store = store
@@ -125,16 +144,16 @@ func TestStoreHitSkipsHooksAndGate(t *testing.T) {
 		BeforeRun: func(context.Context) { t.Error("BeforeRun fired on a store hit") },
 		AfterRun:  func(Run, error) { t.Error("AfterRun fired on a store hit") },
 	}
-	if _, err := c.Do(context.Background(), "164.gzip", opt, Quick, func(context.Context) (Run, error) {
+	if _, err := c.DoActivity(context.Background(), "164.gzip", opt, Quick, func(context.Context) (ActivityRecord, error) {
 		t.Fatal("store hit consulted compute")
-		return Run{}, nil
+		return ActivityRecord{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStoreErrorNotSaved: a failed compute (cancellation) must not be
-// written through — the store only ever holds complete results.
+// written through — the store only ever holds complete records.
 func TestStoreErrorNotSaved(t *testing.T) {
 	opt := cpu.Options{Predictor: bpred.Bim4k}
 	store := newFakeStore()
@@ -142,8 +161,8 @@ func TestStoreErrorNotSaved(t *testing.T) {
 	c.Store = store
 
 	wantErr := errors.New("canceled mid-run")
-	if _, err := c.Do(context.Background(), "164.gzip", opt, Quick, func(context.Context) (Run, error) {
-		return Run{}, wantErr
+	if _, err := c.DoActivity(context.Background(), "164.gzip", opt, Quick, func(context.Context) (ActivityRecord, error) {
+		return ActivityRecord{}, wantErr
 	}); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
@@ -156,30 +175,31 @@ func TestStoreErrorNotSaved(t *testing.T) {
 }
 
 // TestStoreSingleflightShares: waiters on an inflight key share the store
-// hit exactly as they would a computed result — one load, not one per
+// hit exactly as they would a computed record — one load, not one per
 // caller.
 func TestStoreSingleflightShares(t *testing.T) {
 	opt := cpu.Options{Predictor: bpred.Bim4k}
 	store := newFakeStore()
-	store.Save("164.gzip", opt, Quick, Run{Benchmark: "164.gzip", Machine: "m"})
+	store.SaveActivity("164.gzip", opt, Quick, fakeRecord("164.gzip"))
 
-	// gateStore delays the leader's Load until both callers are in Do.
+	// gatedStore delays the leader's load until both callers are in
+	// DoActivity.
 	release := make(chan struct{})
-	gs := &gatedStore{inner: store, release: release}
+	gs := &gatedStore{fakeStore: store, release: release}
 	c := NewRunCache(8)
 	c.Store = gs
 
 	var wg sync.WaitGroup
-	results := make([]Run, 2)
+	results := make([]ActivityRecord, 2)
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Do(context.Background(), "164.gzip", opt, Quick,
-				func(context.Context) (Run, error) {
+			results[i], errs[i] = c.DoActivity(context.Background(), "164.gzip", opt, Quick,
+				func(context.Context) (ActivityRecord, error) {
 					t.Error("compute ran despite a store entry")
-					return Run{}, nil
+					return ActivityRecord{}, nil
 				})
 		}(i)
 	}
@@ -189,7 +209,7 @@ func TestStoreSingleflightShares(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if results[i] != results[0] {
+		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Fatalf("callers disagree: %+v vs %+v", results[i], results[0])
 		}
 	}
@@ -198,49 +218,16 @@ func TestStoreSingleflightShares(t *testing.T) {
 	}
 }
 
-// gatedStore blocks Load until released, letting the singleflight test pin
-// both callers behind one inflight entry.
+// gatedStore blocks LoadActivity until released, letting the singleflight
+// test pin both callers behind one inflight entry.
 type gatedStore struct {
-	inner   *fakeStore
+	*fakeStore
 	release chan struct{}
 }
 
-func (g *gatedStore) Load(bench string, opt cpu.Options, rc RunConfig) (Run, bool) {
+func (g *gatedStore) LoadActivity(bench string, opt cpu.Options, rc RunConfig) (ActivityRecord, bool) {
 	<-g.release
-	return g.inner.Load(bench, opt, rc)
-}
-
-func (g *gatedStore) Save(bench string, opt cpu.Options, rc RunConfig, r Run) {
-	g.inner.Save(bench, opt, rc, r)
-}
-
-// fakeActivityStore extends fakeStore with the activity plane, standing in
-// for resultstore's ActivityStore implementation.
-type fakeActivityStore struct {
-	fakeStore
-	amu      sync.Mutex
-	acts     map[string]ActivityRecord
-	actLoads int
-	actSaves int
-}
-
-func newFakeActivityStore() *fakeActivityStore {
-	return &fakeActivityStore{fakeStore: fakeStore{m: map[string]Run{}}, acts: map[string]ActivityRecord{}}
-}
-
-func (f *fakeActivityStore) LoadActivity(bench string, opt cpu.Options, rc RunConfig) (ActivityRecord, bool) {
-	f.amu.Lock()
-	defer f.amu.Unlock()
-	f.actLoads++
-	rec, ok := f.acts[f.key(bench, opt, rc)]
-	return rec, ok
-}
-
-func (f *fakeActivityStore) SaveActivity(bench string, opt cpu.Options, rc RunConfig, rec ActivityRecord) {
-	f.amu.Lock()
-	defer f.amu.Unlock()
-	f.actSaves++
-	f.acts[f.key(bench, opt, rc)] = rec
+	return g.fakeStore.LoadActivity(bench, opt, rc)
 }
 
 // The replica contract for repricing: replica A simulates one base run and
@@ -253,7 +240,7 @@ func TestActivityStoreWriteThroughAcrossReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := RunConfig{WarmupInsts: 2000, MeasureInsts: 4000}
-	store := newFakeActivityStore()
+	store := newFakeStore()
 	variants := []cpu.Options{
 		{Predictor: bpred.Hybrid1},
 		{Predictor: bpred.Hybrid1, BankedPredictor: true},
@@ -283,8 +270,8 @@ func TestActivityStoreWriteThroughAcrossReplicas(t *testing.T) {
 	if simsA != 1 {
 		t.Fatalf("replica A ran %d simulations, want 1", simsA)
 	}
-	if store.actSaves != 1 {
-		t.Fatalf("activity write-through: %d saves, want 1", store.actSaves)
+	if _, saves := store.counts(); saves != 1 {
+		t.Fatalf("activity write-through: %d saves, want 1", saves)
 	}
 
 	b := NewRunCache(8)

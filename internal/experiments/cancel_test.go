@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,18 +190,18 @@ func TestRunCacheSingleflight(t *testing.T) {
 	var start, done sync.WaitGroup
 	start.Add(callers)
 	done.Add(callers)
-	results := make([]Run, callers)
+	results := make([]ActivityRecord, callers)
 	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer done.Done()
 			start.Done()
 			start.Wait() // maximize overlap
-			results[i], errs[i] = cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
-				func(context.Context) (Run, error) {
+			results[i], errs[i] = cache.DoActivity(context.Background(), "bench", cpu.Options{}, Quick,
+				func(context.Context) (ActivityRecord, error) {
 					computes.Add(1)
 					time.Sleep(10 * time.Millisecond) // hold the entry inflight
-					return Run{Benchmark: "bench", IPC: 1.5}, nil
+					return fakeRecord("bench"), nil
 				})
 		}(i)
 	}
@@ -212,7 +213,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if results[i] != results[0] {
+		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Errorf("caller %d got %+v, caller 0 got %+v", i, results[i], results[0])
 		}
 	}
@@ -228,22 +229,22 @@ func TestRunCacheErrorNotCached(t *testing.T) {
 	cache := NewRunCache(0)
 	sentinel := errors.New("compute failed")
 	var computes atomic.Int64
-	if _, err := cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
-		func(context.Context) (Run, error) {
+	if _, err := cache.DoActivity(context.Background(), "bench", cpu.Options{}, Quick,
+		func(context.Context) (ActivityRecord, error) {
 			computes.Add(1)
-			return Run{}, sentinel
+			return ActivityRecord{}, sentinel
 		}); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the sentinel", err)
 	}
-	r, err := cache.Do(context.Background(), "bench", cpu.Options{}, Quick,
-		func(context.Context) (Run, error) {
+	r, err := cache.DoActivity(context.Background(), "bench", cpu.Options{}, Quick,
+		func(context.Context) (ActivityRecord, error) {
 			computes.Add(1)
-			return Run{Benchmark: "bench"}, nil
+			return fakeRecord("bench"), nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Benchmark != "bench" {
+	if r.Run.Benchmark != "bench" {
 		t.Errorf("retry returned %+v", r)
 	}
 	if n := computes.Load(); n != 2 {
@@ -260,12 +261,12 @@ func TestRunCacheErrorNotCached(t *testing.T) {
 func TestRunCacheLRUEviction(t *testing.T) {
 	cache := NewRunCache(2)
 	var computes atomic.Int64
-	get := func(bench string) Run {
+	get := func(bench string) ActivityRecord {
 		t.Helper()
-		r, err := cache.Do(context.Background(), bench, cpu.Options{}, Quick,
-			func(context.Context) (Run, error) {
+		r, err := cache.DoActivity(context.Background(), bench, cpu.Options{}, Quick,
+			func(context.Context) (ActivityRecord, error) {
 				computes.Add(1)
-				return Run{Benchmark: bench}, nil
+				return fakeRecord(bench), nil
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -299,10 +300,10 @@ func TestRunCacheGateRespectsContext(t *testing.T) {
 	cache.Gate <- struct{}{} // occupy the only slot
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := cache.Do(ctx, "bench", cpu.Options{}, Quick,
-		func(context.Context) (Run, error) {
+	_, err := cache.DoActivity(ctx, "bench", cpu.Options{}, Quick,
+		func(context.Context) (ActivityRecord, error) {
 			t.Error("compute ran despite a full gate and canceled context")
-			return Run{}, nil
+			return ActivityRecord{}, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -7,7 +7,9 @@
 // (Figure 19).
 //
 // A Harness memoizes generated programs and simulation runs so figures that
-// share underlying sweeps (5/6/7 and 8/9/10) pay for each run once.
+// share underlying sweeps (5/6/7 and 8/9/10) pay for each run once. Every
+// Run it reports comes from one simulation per execution key: the base Run
+// of that simulation's ActivityRecord, or a closed-form Reprice fold of it.
 package experiments
 
 import (
@@ -95,10 +97,10 @@ type Job struct {
 // the pre-cancellation behavior — the CLI path takes exactly the code path
 // it always has.
 //
-// Cache, when set, replaces the private run memo with a shared, bounded,
-// concurrency-safe cache (see RunCache): several harnesses — one per server
-// request, say — then deduplicate identical simulations across goroutines
-// via its singleflight and share one LRU budget.
+// Cache, when set, replaces the private activity memo with a shared,
+// bounded, concurrency-safe cache (see RunCache): several harnesses — one
+// per server request, say — then deduplicate identical simulations across
+// goroutines via its singleflight and share one LRU budget.
 //
 // Segments, when > 1, splits each simulation's warm-up and measurement
 // phases into that many fixed instruction-count segments stitched through
@@ -114,15 +116,6 @@ type Harness struct {
 	Cache    *RunCache
 	Segments int
 
-	// Reprice (default on, see NewHarness) collapses jobs that differ only
-	// in pricing options — BankedPredictor, OldArrayModel, SquarifyClosest,
-	// ClockGating — onto one full simulation per execution key plus a
-	// closed-form fold per variant (see reprice.go). Repriced Runs are
-	// byte-identical to fully simulated ones by construction, so this is
-	// purely a wall-clock lever. Turn it off to force every variant through
-	// the simulator (the verify.sh byte-diff gate does exactly that).
-	Reprice bool
-
 	err   error
 	progs map[string]*program.Program
 	runs  map[runKey]Run
@@ -132,15 +125,16 @@ type Harness struct {
 	actFolds atomic.Uint64 // Runs produced by folding a cached activity
 }
 
-// NewHarness builds a harness with the given run configuration. Repricing
-// is on by default — it never changes output bytes, only simulation count.
+// NewHarness builds a harness with the given run configuration. Jobs that
+// differ only in pricing options — BankedPredictor, OldArrayModel,
+// SquarifyClosest, ClockGating — share one simulation of their execution
+// key and are folded from its activity record (see reprice.go).
 func NewHarness(rc RunConfig) *Harness {
 	return &Harness{
-		RC:      rc,
-		Reprice: true,
-		progs:   map[string]*program.Program{},
-		runs:    map[runKey]Run{},
-		acts:    map[runKey]ActivityRecord{},
+		RC:    rc,
+		progs: map[string]*program.Program{},
+		runs:  map[runKey]Run{},
+		acts:  map[runKey]ActivityRecord{},
 	}
 }
 
@@ -188,9 +182,11 @@ func (h *Harness) Workers() int {
 // Prefetch simulates every not-yet-memoized job on a bounded worker pool so
 // that the Simulate calls a figure subsequently makes are all cache hits.
 // Output determinism is preserved by construction:
-//   - jobs are deduplicated up front (against the memo and within the list),
-//     so each key simulates exactly once — concurrent demand for the same
-//     run never races (singleflight by planning);
+//   - jobs are deduplicated up front onto their execution keys (against the
+//     memo and within the list), so each execution key simulates exactly
+//     once — concurrent demand for the same run never races (singleflight
+//     by planning) — and every pricing variant is folded from that one
+//     simulation's activity record;
 //   - workers write only to disjoint, pre-sized slice slots and read only
 //     immutable inputs (program images are generated in a prior phase and
 //     never mutated during simulation);
@@ -209,18 +205,12 @@ func (h *Harness) Prefetch(jobs []Job) {
 // completed runs are merged into the memo, so a canceled prefetch leaves the
 // cache consistent — retrying with a live context finishes the remainder.
 func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
-	// work is one slot for the simulation pool: either a verbatim job, or
-	// (act) the base-pricing simulation of an execution key several
-	// repriceable jobs share. Pricing variants never enter the pool — they
-	// are folded on the caller's goroutine after it joins, in microseconds.
-	type work struct {
-		bench workload.Benchmark
-		opt   cpu.Options
-		act   bool
-	}
+	// pending holds the base-pricing simulation of each execution key the
+	// plan's jobs share. Pricing variants never enter the pool — they are
+	// folded on the caller's goroutine after it joins, in microseconds.
 	seen := make(map[runKey]bool, len(jobs))
 	seenAct := make(map[runKey]bool)
-	pending := make([]work, 0, len(jobs))
+	pending := make([]Job, 0, len(jobs))
 	folds := make([]Job, 0)
 	for _, j := range jobs {
 		k := runKey{j.Bench.Name, j.Opt}
@@ -229,10 +219,6 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 		}
 		seen[k] = true
 		if _, ok := h.runs[k]; ok {
-			continue
-		}
-		if !h.Reprice || !Repriceable(j.Opt) {
-			pending = append(pending, work{bench: j.Bench, opt: j.Opt})
 			continue
 		}
 		execOpt, pk := SplitOptions(j.Opt)
@@ -245,7 +231,7 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 		}
 		seenAct[ek] = true
 		if _, ok := h.acts[ek]; !ok {
-			pending = append(pending, work{bench: j.Bench, opt: execOpt, act: true})
+			pending = append(pending, Job{Bench: j.Bench, Opt: execOpt})
 		}
 	}
 	if len(pending) == 0 && len(folds) == 0 {
@@ -258,17 +244,17 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 	// write disjoint slots and the results merge on the caller's goroutine.
 	genSeen := map[string]bool{}
 	var gen []workload.Benchmark
-	for _, wk := range pending {
-		if genSeen[wk.bench.Name] {
+	for _, j := range pending {
+		if genSeen[j.Bench.Name] {
 			continue
 		}
-		genSeen[wk.bench.Name] = true
+		genSeen[j.Bench.Name] = true
 		if h.Cache == nil {
-			if _, ok := h.progs[wk.bench.Name]; !ok {
-				gen = append(gen, wk.bench)
+			if _, ok := h.progs[j.Bench.Name]; !ok {
+				gen = append(gen, j.Bench)
 			}
 		} else {
-			gen = append(gen, wk.bench)
+			gen = append(gen, j.Bench)
 		}
 	}
 	if len(gen) > 0 {
@@ -289,40 +275,23 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 	// workers never touch the shared map. done marks slots whose simulation
 	// ran to completion; under cancellation the others are never merged.
 	progs := make([]*program.Program, len(pending))
-	for i, wk := range pending {
-		progs[i] = h.programFor(wk.bench)
+	for i, j := range pending {
+		progs[i] = h.programFor(j.Bench)
 	}
-	results := make([]Run, len(pending))
 	recs := make([]ActivityRecord, len(pending))
 	errs := make([]error, len(pending))
 	done := make([]bool, len(pending))
-	rc, segments := h.RC, h.Segments
 	ferr := ForEachCtx(ctx, h.Workers(), len(pending), func(i int) {
-		switch {
-		case pending[i].act:
-			recs[i], errs[i] = h.doActivity(ctx, pending[i].bench, pending[i].opt, progs[i])
-		case h.Cache != nil:
-			results[i], errs[i] = h.Cache.Do(ctx, pending[i].bench.Name, pending[i].opt, rc,
-				func(cctx context.Context) (Run, error) {
-					run, _, serr := simulateSegmentedCtx(cctx, progs[i], pending[i].bench, pending[i].opt, rc, segments)
-					return run, serr
-				})
-		default:
-			results[i], _, errs[i] = simulateSegmentedCtx(ctx, progs[i], pending[i].bench, pending[i].opt, rc, segments)
-		}
+		recs[i], errs[i] = h.doActivity(ctx, pending[i].Bench, pending[i].Opt, progs[i])
 		done[i] = true
 	})
-	for i, wk := range pending {
+	for i, j := range pending {
 		if !done[i] || errs[i] != nil {
 			continue
 		}
-		k := runKey{wk.bench.Name, wk.opt}
-		if wk.act {
-			h.acts[k] = recs[i]
-			h.runs[k] = recs[i].Run
-		} else {
-			h.runs[k] = results[i]
-		}
+		k := runKey{j.Bench.Name, j.Opt}
+		h.acts[k] = recs[i]
+		h.runs[k] = recs[i].Run
 	}
 	// Fold the pricing variants of every execution key whose activity record
 	// is in hand. A variant whose base simulation failed or was canceled is
@@ -439,9 +408,6 @@ func machineLabel(opt cpu.Options) string {
 	if opt.ClockGating != power.CC3 {
 		l += "+" + opt.ClockGating.String()
 	}
-	if opt.Accounting != power.AccountDeferred {
-		l += "+" + opt.Accounting.String()
-	}
 	return l
 }
 
@@ -453,46 +419,27 @@ func (h *Harness) Simulate(b workload.Benchmark, opt cpu.Options) Run {
 	if r, ok := h.runs[key]; ok {
 		return r
 	}
-	ctx := h.ctx()
-	if h.Reprice && Repriceable(opt) {
-		execOpt, pk := SplitOptions(opt)
-		ek := runKey{b.Name, execOpt}
-		rec, ok := h.acts[ek]
-		if !ok {
-			var err error
-			rec, err = h.doActivity(ctx, b, execOpt, h.programFor(b))
-			if err != nil {
-				h.noteErr(err)
-				return Run{}
-			}
-			h.acts[ek] = rec
-			h.runs[ek] = rec.Run
-		}
-		if pk.IsBase() {
-			return rec.Run
-		}
-		r, err := h.fold(key, rec, opt)
+	execOpt, pk := SplitOptions(opt)
+	ek := runKey{b.Name, execOpt}
+	rec, ok := h.acts[ek]
+	if !ok {
+		var err error
+		rec, err = h.doActivity(h.ctx(), b, execOpt, h.programFor(b))
 		if err != nil {
 			h.noteErr(err)
 			return Run{}
 		}
-		return r
+		h.acts[ek] = rec
+		h.runs[ek] = rec.Run
 	}
-	var r Run
-	var err error
-	if h.Cache != nil {
-		r, err = h.Cache.Do(ctx, b.Name, opt, h.RC, func(cctx context.Context) (Run, error) {
-			run, _, serr := simulateSegmentedCtx(cctx, h.programFor(b), b, opt, h.RC, h.Segments)
-			return run, serr
-		})
-	} else {
-		r, _, err = simulateSegmentedCtx(ctx, h.programFor(b), b, opt, h.RC, h.Segments)
+	if pk.IsBase() {
+		return rec.Run
 	}
+	r, err := h.fold(key, rec, opt)
 	if err != nil {
 		h.noteErr(err)
 		return Run{}
 	}
-	h.runs[key] = r
 	return r
 }
 

@@ -121,9 +121,6 @@ func planExtensionModern() []Job {
 	return Cross(workload.Subset7(), opts...)
 }
 
-// planAll is the union of every figure's plan, in figure order, so All can
-// keep the worker pool saturated across the whole regeneration instead of
-// draining it at each figure boundary.
 // gatingStyleList is ExtensionGatingStyles' display order: Wattch's
 // aggressive-to-conservative ablations first, the paper's cc3 baseline last.
 var gatingStyleList = []power.GatingStyle{power.CC0, power.CC1, power.CC2, power.CC3}
@@ -139,6 +136,9 @@ func planExtensionGatingStyles() []Job {
 	return Cross(workload.Subset7(), opts...)
 }
 
+// planAll is the union of every figure's plan, in figure order, so All can
+// keep the worker pool saturated across the whole regeneration instead of
+// draining it at each figure boundary.
 func planAll() []Job {
 	var jobs []Job
 	for _, p := range [][]Job{

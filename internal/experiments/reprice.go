@@ -76,14 +76,6 @@ func applyPricing(execOpt cpu.Options, pk PricingKey) cpu.Options {
 	return execOpt
 }
 
-// Repriceable reports whether runs under opt can be produced by repricing a
-// cached activity vector. Only deferred accounting qualifies: the eager
-// modes (percycle, crosscheck) exist to exercise the fold-every-cycle path
-// and must keep simulating for real.
-func Repriceable(opt cpu.Options) bool {
-	return opt.Accounting == power.AccountDeferred
-}
-
 // ActivityRecord is what one full simulation of an execution key leaves
 // behind: the Run priced under the base pricing key, plus the activity
 // vector every other pricing key is folded from. It round-trips through

@@ -81,21 +81,15 @@ func TestRepriceMatchesFullSimulation(t *testing.T) {
 	rc := RunConfig{WarmupInsts: 2000, MeasureInsts: 4000}
 	repriced := NewHarness(rc)
 	repriced.Parallel = 1
-	full := NewHarness(rc)
-	full.Parallel = 1
-	full.Reprice = false
 	for _, pk := range pricingMatrix() {
 		opt := applyPricing(cpu.Options{Predictor: bpred.Hybrid1}, pk)
 		got := repriced.Simulate(bench, opt)
-		want := full.Simulate(bench, opt)
 		if err := repriced.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if err := full.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("pricing key %+v: repriced run differs from simulation\n got %+v\nwant %+v", pk, got, want)
+		want := directRun(t, repriced.programFor(bench), bench, opt, rc)
+		if diffs := runDiff(got, want); len(diffs) > 0 {
+			t.Fatalf("pricing key %+v: repriced run differs from simulation: %v", pk, diffs)
 		}
 	}
 	st := repriced.RepriceStats()
@@ -146,14 +140,14 @@ func TestPrefetchOneSimulationPerExecutionKey(t *testing.T) {
 		t.Fatalf("%d pricing variants ran %d full simulations, want exactly 1", len(opts), sims)
 	}
 	cs := cache.Stats()
-	if cs.RepriceMisses != 1 {
-		t.Fatalf("RepriceMisses = %d, want 1", cs.RepriceMisses)
+	if cs.Misses != 1 {
+		t.Fatalf("Misses = %d, want 1", cs.Misses)
 	}
 	if cs.RepriceFolds != uint64(len(opts)-1) {
 		t.Fatalf("RepriceFolds = %d, want %d", cs.RepriceFolds, len(opts)-1)
 	}
-	if cs.ActivityEntries != 1 {
-		t.Fatalf("ActivityEntries = %d, want 1", cs.ActivityEntries)
+	if cs.Entries != 1 {
+		t.Fatalf("Entries = %d, want 1", cs.Entries)
 	}
 
 	// A second harness against the same cache refetches everything from the

@@ -3,7 +3,7 @@ package power
 import "fmt"
 
 // UnitActivity is one unit's lifetime activity, the integer counters the
-// deferred accounting kernel accumulates and the closed-form fold consumes.
+// accounting kernel accumulates and the closed-form fold consumes.
 // It carries no energies and no organization parameters: it is pure
 // execution-side state, invariant under every pricing transform (banking,
 // array model, clock-gating style).
@@ -18,8 +18,7 @@ type UnitActivity struct {
 	Partials uint64 `json:"partials"`
 }
 
-// Activity is the serializable projection of a meter's deferred accounting
-// state: total cycles plus every unit's lifetime counters, in registration
+// Activity is the serializable projection of a meter's accounting state: total cycles plus every unit's lifetime counters, in registration
 // order. Two simulations that differ only in pricing options (which units
 // cost, not which accesses happen) export bit-identical Activity values, so
 // one exported vector can be repriced under any pricing configuration via
@@ -53,14 +52,10 @@ func (m *Meter) Activity() Activity {
 // Units are matched by position — the registration order Activity exports —
 // and every entry must name the meter unit at its position. A mismatch means
 // the activity was exported from a differently shaped machine and is an
-// error, never a silent partial restore.
-//
-// The meter must use AccountDeferred: the eager accounting modes fold energy
-// during EndCycle, which a counter restore cannot reproduce.
+// error, never a silent partial restore. So is a unit active on more cycles
+// than the vector records: no simulation exports one, and its idle term
+// (Cycles − ActiveCycles) would wrap around to an absurd energy.
 func (m *Meter) SetActivity(a Activity) error {
-	if m.Accounting != AccountDeferred {
-		return fmt.Errorf("power: SetActivity requires deferred accounting, meter uses %v", m.Accounting)
-	}
 	if len(a.Units) != len(m.units) {
 		return fmt.Errorf("power: activity has %d units, meter has %d", len(a.Units), len(m.units))
 	}
@@ -74,6 +69,9 @@ func (m *Meter) SetActivity(a Activity) error {
 			}
 			return fmt.Errorf("power: activity unit %d is %q, meter registers %q there", i, ua.Name, want)
 		}
+		if ua.ActiveCycles > a.Cycles {
+			return fmt.Errorf("power: activity unit %q is active on %d of %d cycles", ua.Name, ua.ActiveCycles, a.Cycles)
+		}
 	}
 	for i, ua := range a.Units {
 		u := m.units[i]
@@ -82,10 +80,8 @@ func (m *Meter) SetActivity(a Activity) error {
 		u.totalWrites = ua.Writes
 		u.totalPartials = ua.Partials
 		u.lastActive = ^uint64(0) // no cycle in progress
-		u.energy = 0              // deferred mode folds at read time
 	}
 	m.cycles = a.Cycles
-	m.clockEnergy = 0
 	return nil
 }
 

@@ -2,7 +2,6 @@ package power
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 )
@@ -123,19 +122,25 @@ func TestSetActivityRejectsMismatches(t *testing.T) {
 		t.Fatal("reordered units accepted")
 	}
 
-	eager := build()
-	eager.Accounting = AccountPerCycle
-	if err := eager.SetActivity(act); err == nil {
-		t.Fatal("eager accounting accepted")
+	// A unit active on more cycles than the vector spans is impossible; its
+	// idle term would wrap around instead of pricing anything.
+	overActive := act
+	overActive.Units = append([]UnitActivity(nil), act.Units...)
+	overActive.Units[1].ActiveCycles = act.Cycles + 1
+	if err := build().SetActivity(overActive); err == nil {
+		t.Fatal("ActiveCycles > Cycles accepted")
 	}
 
-	// A failed restore leaves the meter untouched: pricing still works.
-	partial := build()
-	if err := partial.SetActivity(renamed); err == nil {
-		t.Fatal("expected error")
-	}
-	if e := partial.TotalEnergy(); e != 0 && math.IsNaN(e) {
-		t.Fatalf("failed restore dirtied the meter: %v", e)
+	// A failed restore leaves the meter untouched, also when the bad entry
+	// comes after a valid one.
+	for _, bad := range []Activity{renamed, overActive} {
+		partial := build()
+		if err := partial.SetActivity(bad); err == nil {
+			t.Fatal("expected error")
+		}
+		if !reflect.DeepEqual(partial.Activity(), build().Activity()) || partial.TotalEnergy() != 0 {
+			t.Fatalf("failed restore dirtied the meter: %+v", partial.Activity())
+		}
 	}
 }
 

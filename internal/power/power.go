@@ -117,50 +117,6 @@ func (g GatingStyle) String() string {
 // fraction of maximum power.
 const IdleFraction = 0.10 //bp:unit 1
 
-// AccountingMode selects how per-cycle activity is folded into energy.
-//
-// The simulator's hot loop only ever increments integer activity counters;
-// turning those counts into joules is a pure function of the counters (the
-// closed form in Unit.activeEnergy and Meter.clockClosedForm). The mode
-// decides *when* that fold runs:
-//
-//   - AccountDeferred (default) folds once, lazily, at read time
-//     (Energy/TotalEnergy/Breakdown) — EndCycle is integer-only, the
-//     kernelized fast path.
-//   - AccountPerCycle folds eagerly every cycle, so each unit's energy (and
-//     the clock tree's) is current after every EndCycle — the reference
-//     accounting, O(all units) per cycle.
-//   - AccountCrossCheck runs both: the eager fold of AccountPerCycle plus,
-//     at every read, the deferred fold — and panics unless the two agree
-//     bit-for-bit. Both evaluate the same closed form over the same
-//     integers, so any divergence means the counter bookkeeping or the lazy
-//     idle/clock accounting drifted.
-type AccountingMode uint8
-
-const (
-	// AccountDeferred is the integer-counter kernel: energy is computed in
-	// closed form only when read.
-	AccountDeferred AccountingMode = iota
-	// AccountPerCycle eagerly folds energy every cycle (reference mode).
-	AccountPerCycle
-	// AccountCrossCheck runs both accountings and asserts exact agreement.
-	AccountCrossCheck
-)
-
-var accountingNames = [...]string{
-	AccountDeferred:   "deferred",
-	AccountPerCycle:   "percycle",
-	AccountCrossCheck: "crosscheck",
-}
-
-// String returns the mode name.
-func (a AccountingMode) String() string {
-	if int(a) < len(accountingNames) {
-		return accountingNames[a]
-	}
-	return fmt.Sprintf("accounting(%d)", uint8(a))
-}
-
 // Unit is one power-accounted structure.
 type Unit struct {
 	// Name identifies the unit ("bpred.pht", "il1", "ialu", ...).
@@ -189,11 +145,6 @@ type Unit struct {
 	// is a per-cycle constant applied as idleRate * idleCycles at read time.
 	activeCycles                           uint64 //bp:unit cycle
 	totalReads, totalWrites, totalPartials uint64 //bp:unit 1
-
-	// energy is the eagerly folded active-cycle energy, maintained only
-	// under AccountPerCycle / AccountCrossCheck (it equals
-	// activeEnergy() after every EndCycle). AccountDeferred never touches it.
-	energy float64 //bp:unit J
 }
 
 // maxCycleEnergy is the energy the unit would burn with all ports active.
@@ -266,8 +217,8 @@ func (u *Unit) idleRate() float64 {
 
 // activeEnergy is the closed-form fold of the unit's lifetime activity
 // counters into active-cycle energy. The evaluation order is fixed —
-// (reads·ERead + writes·EWrite) + partials·EPartial — so the eager and
-// deferred accountings, which both call this on identical integers, agree
+// (reads·ERead + writes·EWrite) + partials·EPartial — so a simulated meter
+// and a meter repriced from the same counters (SetActivity) agree
 // bit-for-bit.
 //
 //bp:hotpath
@@ -284,36 +235,12 @@ func (u *Unit) activeEnergy() float64 {
 	}
 }
 
-// foldedEnergy returns active-cycle energy under the owning meter's
-// accounting mode: the eager value under AccountPerCycle, the deferred
-// closed form otherwise, and both (asserted identical) under
-// AccountCrossCheck.
-//
-//bp:unit J
-func (u *Unit) foldedEnergy() float64 {
-	if u.meter == nil {
-		return 0
-	}
-	switch u.meter.Accounting {
-	case AccountPerCycle:
-		return u.energy
-	case AccountCrossCheck:
-		closed := u.activeEnergy()
-		if closed != u.energy {
-			panic(fmt.Sprintf("power: accounting cross-check failed for unit %q: deferred %v != per-cycle %v", u.Name, closed, u.energy))
-		}
-		return closed
-	default:
-		return u.activeEnergy()
-	}
-}
-
 // Energy returns the unit's accumulated energy in joules, including the
 // lazily-accounted idle-cycle floor.
 //
 //bp:unit J
 func (u *Unit) Energy() float64 {
-	e := u.foldedEnergy()
+	e := u.activeEnergy()
 	if u.meter != nil {
 		if idle := u.idleRate(); idle != 0 {
 			e += idle * float64(u.meter.cycles-u.activeCycles)
@@ -362,21 +289,12 @@ type Meter struct {
 	ClockBaseFraction, ClockActivityFraction float64 //bp:unit 1
 	// Style is the conditional-clocking model (default CC3, the paper's).
 	Style GatingStyle
-	// Accounting selects when activity counters are folded into energy
-	// (default AccountDeferred, the integer-only EndCycle kernel).
-	Accounting AccountingMode
 
 	units  []*Unit
 	byName map[string]*Unit
 
 	cycles      uint64  //bp:unit cycle
 	maxPerCycle float64 //bp:unit J/cycle
-
-	// clockEnergy is the eagerly folded clock-tree energy, maintained only
-	// under AccountPerCycle / AccountCrossCheck (it equals clockClosedForm()
-	// after every EndCycle). AccountDeferred computes the closed form at
-	// read time instead.
-	clockEnergy float64 //bp:unit J
 }
 
 // NewMeter builds a Meter for the given clock period.
@@ -437,61 +355,28 @@ func (m *Meter) idlePerCycle() float64 {
 
 // EndCycle advances the accounting clock. Access counts accumulate straight
 // into the lifetime totals and active cycles are counted at first touch
-// against that clock, so under AccountDeferred (the default) this is a single
-// increment: no per-unit work runs in the simulator hot loop at all, and
-// energy is recovered in closed form at read time. The other modes
-// additionally refresh the eager folds.
+// against that clock, so this is a single increment: no per-unit work runs
+// in the simulator hot loop at all, and energy is recovered in closed form
+// at read time.
 //
 //bp:hotpath
-func (m *Meter) EndCycle() {
-	m.cycles++
-	if m.Accounting != AccountDeferred {
-		// Reference accounting: eagerly recompute, every cycle, exactly the
-		// folds the deferred mode produces at read time. O(all units) per
-		// cycle — the point of AccountDeferred is to skip this.
-		for _, u := range m.units {
-			u.energy = u.activeEnergy()
-		}
-		m.clockEnergy = m.clockClosedForm()
-	}
-}
+func (m *Meter) EndCycle() { m.cycles++ }
 
-// clockClosedForm folds the lifetime counters into clock-tree energy:
-// a base term proportional to registered capacity and elapsed cycles, plus
-// an activity term proportional to total switched energy. The switched total
-// starts from the all-idle constant per cycle and swaps each unit's idle
-// share for its real access energy over its active cycles; units are visited
-// in registration order so the fold is deterministic.
+// ClockEnergy returns the clock tree's accumulated energy in joules, folded
+// from the lifetime counters: a base term proportional to registered
+// capacity and elapsed cycles, plus an activity term proportional to total
+// switched energy. The switched total starts from the all-idle constant per
+// cycle and swaps each unit's idle share for its real access energy over its
+// active cycles; units are visited in registration order so the fold is
+// deterministic.
 //
-//bp:hotpath
 //bp:unit J
-func (m *Meter) clockClosedForm() float64 {
+func (m *Meter) ClockEnergy() float64 {
 	switched := float64(m.cycles) * m.idlePerCycle()
 	for _, u := range m.units {
 		switched += u.activeEnergy() - u.idleRate()*float64(u.activeCycles)
 	}
 	return m.ClockBaseFraction*m.maxPerCycle*float64(m.cycles) + m.ClockActivityFraction*switched
-}
-
-// ClockEnergy returns the clock tree's accumulated energy in joules under
-// the meter's accounting mode: the eager value under AccountPerCycle, the
-// deferred closed form otherwise, and both (asserted identical) under
-// AccountCrossCheck.
-//
-//bp:unit J
-func (m *Meter) ClockEnergy() float64 {
-	switch m.Accounting {
-	case AccountPerCycle:
-		return m.clockEnergy
-	case AccountCrossCheck:
-		closed := m.clockClosedForm()
-		if closed != m.clockEnergy {
-			panic(fmt.Sprintf("power: accounting cross-check failed for clock tree: deferred %v != per-cycle %v", closed, m.clockEnergy))
-		}
-		return closed
-	default:
-		return m.clockClosedForm()
-	}
 }
 
 // Cycles returns the number of accounted cycles.
@@ -575,24 +460,20 @@ func (m *Meter) EnergyDelay() float64 { return m.TotalEnergy() * m.Seconds() }
 // keeping the registered units — used to discard warm-up before measuring.
 func (m *Meter) Reset() {
 	for _, u := range m.units {
-		u.energy = 0
 		u.activeCycles = 0
 		u.totalReads, u.totalWrites, u.totalPartials = 0, 0, 0
 		u.lastActive = ^uint64(0)
 	}
-	m.clockEnergy = 0
 	m.cycles = 0
 }
 
-// unitState is one unit's accounting integers (plus the eager fold) inside a
-// MeterState.
+// unitState is one unit's accounting integers inside a MeterState.
 type unitState struct {
 	lastActive   uint64
 	activeCycles uint64
 	reads        uint64
 	writes       uint64
 	partials     uint64
-	energy       float64
 }
 
 // MeterState is a deep copy of the meter's lifetime accounting: every unit's
@@ -600,9 +481,8 @@ type unitState struct {
 // fold of these integers, restoring a MeterState reproduces every energy
 // reading bit-for-bit.
 type MeterState struct {
-	units       []unitState
-	cycles      uint64
-	clockEnergy float64
+	units  []unitState
+	cycles uint64
 }
 
 // State captures the meter's accounting state. Units are recorded in
@@ -610,9 +490,8 @@ type MeterState struct {
 // construction sequence.
 func (m *Meter) State() MeterState {
 	s := MeterState{
-		units:       make([]unitState, len(m.units)),
-		cycles:      m.cycles,
-		clockEnergy: m.clockEnergy,
+		units:  make([]unitState, len(m.units)),
+		cycles: m.cycles,
 	}
 	for i, u := range m.units {
 		s.units[i] = unitState{
@@ -621,7 +500,6 @@ func (m *Meter) State() MeterState {
 			reads:        u.totalReads,
 			writes:       u.totalWrites,
 			partials:     u.totalPartials,
-			energy:       u.energy,
 		}
 	}
 	return s
@@ -640,10 +518,8 @@ func (m *Meter) SetState(s MeterState) {
 		u.totalReads = us.reads
 		u.totalWrites = us.writes
 		u.totalPartials = us.partials
-		u.energy = us.energy
 	}
 	m.cycles = s.cycles
-	m.clockEnergy = s.clockEnergy
 }
 
 // Breakdown returns per-group energies in joules, keyed by group name, with

@@ -161,18 +161,18 @@ func (m *Metrics) WriteTo(w io.Writer, cs experiments.CacheStats, ss *resultstor
 	fmt.Fprintln(w, "# TYPE bpserved_cache_inflight gauge")
 	fmt.Fprintf(w, "bpserved_cache_inflight %d\n", cs.Inflight)
 
-	fmt.Fprintln(w, "# HELP bpserved_reprice_hits_total Activity-vector lookups answered from memory.")
+	fmt.Fprintln(w, "# HELP bpserved_reprice_hits_total Activity-vector lookups answered from memory (every cache entry is one, so this equals bpserved_cache_hits_total).")
 	fmt.Fprintln(w, "# TYPE bpserved_reprice_hits_total counter")
-	fmt.Fprintf(w, "bpserved_reprice_hits_total %d\n", cs.RepriceHits)
-	fmt.Fprintln(w, "# HELP bpserved_reprice_misses_total Activity-vector lookups that went to the store or a base simulation.")
+	fmt.Fprintf(w, "bpserved_reprice_hits_total %d\n", cs.Hits)
+	fmt.Fprintln(w, "# HELP bpserved_reprice_misses_total Activity-vector lookups that went to the store or a base simulation (equals bpserved_cache_misses_total).")
 	fmt.Fprintln(w, "# TYPE bpserved_reprice_misses_total counter")
-	fmt.Fprintf(w, "bpserved_reprice_misses_total %d\n", cs.RepriceMisses)
+	fmt.Fprintf(w, "bpserved_reprice_misses_total %d\n", cs.Misses)
 	fmt.Fprintln(w, "# HELP bpserved_reprice_folds_total Runs produced by repricing a cached activity vector instead of simulating.")
 	fmt.Fprintln(w, "# TYPE bpserved_reprice_folds_total counter")
 	fmt.Fprintf(w, "bpserved_reprice_folds_total %d\n", cs.RepriceFolds)
-	fmt.Fprintln(w, "# HELP bpserved_cache_activity_entries Activity vectors resident in the run cache.")
+	fmt.Fprintln(w, "# HELP bpserved_cache_activity_entries Activity vectors resident in the run cache (equals bpserved_cache_entries).")
 	fmt.Fprintln(w, "# TYPE bpserved_cache_activity_entries gauge")
-	fmt.Fprintf(w, "bpserved_cache_activity_entries %d\n", cs.ActivityEntries)
+	fmt.Fprintf(w, "bpserved_cache_activity_entries %d\n", cs.Entries)
 
 	fmt.Fprintln(w, "# HELP bpserved_store_hits_total Memory misses answered by the persistent result store.")
 	fmt.Fprintln(w, "# TYPE bpserved_store_hits_total counter")

@@ -645,7 +645,7 @@ func TestSweepClockGatingAxisReprices(t *testing.T) {
 			t.Errorf("/metrics missing %q after gating-axis sweep", want)
 		}
 	}
-	if cs := srv.Cache.Stats(); cs.RepriceFolds != 7 || cs.RepriceMisses != 1 {
+	if cs := srv.Cache.Stats(); cs.RepriceFolds != 7 || cs.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 reprice miss and 7 folds", cs)
 	}
 }

@@ -39,12 +39,14 @@ for ex in examples/*/; do
     go run "./$ex" > /dev/null
 done
 
-# Fuzz smoke: the binary decoders and the sweep-grid decoder must survive
-# sustained fuzzing with no crashes or invariant violations. The minimize
-# budget is capped so a slow minimization cannot eat the whole fuzz window.
+# Fuzz smoke: the binary decoders, the sweep-grid decoder and the store's
+# activity-entry decoder must survive sustained fuzzing with no crashes or
+# invariant violations. The minimize budget is capped so a slow minimization
+# cannot eat the whole fuzz window.
 go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzProgramDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/program
 (cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 5s .)
+go test -run '^$' -fuzz '^FuzzActivityEntryDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/resultstore
 
 # Coverage floor for the lint suite itself: the fixtures and mutation
 # tests must keep exercising the analyzers they pin.
@@ -80,10 +82,6 @@ trap 'rm -rf "$tmp"' EXIT
 # free in the throughput loop) even at a token iteration count.
 go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorStep$|BenchmarkMeterEndCycle' -benchtime 100x .
 
-# Performance gate: rerun the microbenchmarks and compare against the
-# committed baseline; fail on >15% ns/op regressions or new allocations.
-go run ./cmd/bpbench -skip-figures -o "$tmp/bench.json" -compare BENCH_results.json -threshold 0.15
-
 # Figure-output byte identity: regenerating the full experiment suite must
 # reproduce the committed experiments_output.txt exactly — the accounting
 # kernel, predictor devirtualization, and any future hot-loop work must
@@ -115,16 +113,10 @@ go run ./cmd/bpsweep -pred TAGE_64k | grep -q "tage4"
 go run ./cmd/bpsweep -pred Perceptron_64k | grep -q "weights"
 echo "extension smoke: modern-predictor sweep and per-table reports run"
 
-# Reprice byte-identity gate: the gating-style figure spans four pricing-key
-# variants per execution key, so it exercises the repricer end to end. With
-# -reprice=false every variant is fully simulated; the two outputs must be
-# byte-identical (DESIGN.md §9h), and so must the rest of the figure set.
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -figure 23 > "$tmp/gating.txt"
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -figure 23 -reprice=false > "$tmp/gating-full.txt"
-diff "$tmp/gating.txt" "$tmp/gating-full.txt"
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -reprice=false > "$tmp/norepric.txt"
-diff "$tmp/serial.txt" "$tmp/norepric.txt"
-echo "reprice smoke: output identical with repricing on and off"
+# Fold correctness is gated by TestFoldMatchesSimulationAcrossPlan, run by
+# `go test -race ./...` above: every distinct job of the full figure plan at
+# these windows, as the harness folds it, must equal its own simulation
+# under the job's full options, field for field as float64 bits.
 
 # Reprice CLI smoke: the -reprice report must fold 7 of its 8 variants from
 # a single simulation.
@@ -253,3 +245,9 @@ grep -q '"errors": 0' "$tmp/load.json"
 kill -TERM "$load_pid"
 wait "$load_pid"
 echo "load smoke: bpload -smoke completed with zero errors"
+
+# Performance gate: rerun the microbenchmarks and compare against the
+# committed baseline; fail on >15% ns/op regressions or new allocations.
+# It runs last so that a noisy host cannot hide the byte-identity, service
+# and replica gates above.
+go run ./cmd/bpbench -skip-figures -o "$tmp/bench.json" -compare BENCH_results.json -threshold 0.15

@@ -1,36 +1,26 @@
-// Command bpbench records the simulator's performance trajectory: it runs
-// the core throughput, per-cycle step, power-fold, and predictor
-// microbenchmarks plus every harness-driven figure (Quick windows) and
-// writes the numbers to BENCH_results.json so later changes can be diffed
-// against them.
+// Command bpbench records the simulator's kernel costs: it runs the core
+// throughput, per-cycle step, power-fold, predictor, commit-scan,
+// checkpoint and reprice microbenchmarks and writes the numbers to
+// BENCH_results.json so later changes can be diffed against them. Figure
+// wall times are the repository benchmark's job (benchmark/, the
+// paper_figures workload and its cpu.ns_per_inst layer), not bpbench's.
 //
 // Usage:
 //
 //	bpbench                      # write BENCH_results.json in the cwd
-//	bpbench -o /tmp/bench.json -parallel 4
-//	bpbench -skip-figures        # microbenchmarks only (seconds, not minutes)
-//	bpbench -skip-figures -compare BENCH_results.json
+//	bpbench -o /tmp/bench.json -compare BENCH_results.json
 //	                             # fail (exit 1) if a microbenchmark regressed
 //	                             # more than -threshold vs the old file
-//	bpbench -cpuprofile cpu.out -memprofile mem.out -skip-figures
+//	bpbench -cpuprofile cpu.out -memprofile mem.out
 //
-// -compare checks only the microbenchmarks (throughput, step, end_cycle,
-// predictor lookups, kernel lookups, the SoA commit scan): figure wall times
-// include harness scheduling and vary with machine load, so they are
-// recorded but never gated on, and checkpoint/restore is allocation-bound
-// and likewise only recorded.
-//
-// -date 2026-08-08 appends a {date, ns/inst} point to the output file's
-// throughput_history array, keeping the optimization trajectory
-// machine-readable. The date is explicit because bpbench never reads the
-// wall clock (the determinism lint bans time.Now outside tests).
+// -compare gates every entry except checkpoint/restore, which is
+// allocation-bound and only recorded.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -54,24 +44,18 @@ type result struct {
 }
 
 type report struct {
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	Parallel     int    `json:"parallel"`
-	WarmupInsts  uint64 `json:"warmup_insts"`
-	MeasureInsts uint64 `json:"measure_insts"`
+	GOMAXPROCS int `json:"gomaxprocs"`
 	// Throughput is the full-pipeline simulation rate; NsPerOp is ns per
 	// committed instruction and AllocsPerOp must stay 0 in steady state.
 	Throughput result `json:"throughput"`
 	// Step is one warm pipeline cycle (fetch through commit plus the power
 	// fold); EndCycle is the power meter's per-cycle kernel alone, keyed
 	// "deferred" (the name -compare looks up).
-	Step            result            `json:"step"`
-	EndCycle        map[string]result `json:"end_cycle"`
+	Step     result            `json:"step"`
+	EndCycle map[string]result `json:"end_cycle"`
+	// PredictorLookup is one predict+train round through the Predictor
+	// interface, the dispatch the simulator's fetch and commit paths use.
 	PredictorLookup map[string]result `json:"predictor_lookup"`
-	// KernelLookup is the same predict+train round as PredictorLookup but
-	// through the devirtualized bpred.Funcs bindings the simulator actually
-	// calls — the shared branch-free counter kernel with dispatch resolved
-	// once at construction.
-	KernelLookup map[string]result `json:"kernel_lookup"`
 	// SoACommitScan is the branch-free done-bitmap scan that bounds every
 	// commit cycle, measured in isolation on a warm pipeline.
 	SoACommitScan result `json:"soa_commit_scan"`
@@ -82,19 +66,7 @@ type report struct {
 	// power configuration and repricing a cached activity vector through it.
 	// This bounds the per-variant cost of activity/price decoupling — it
 	// must stay orders of magnitude below a full simulation.
-	RepriceFold result            `json:"reprice_fold"`
-	Figures     map[string]result `json:"figures,omitempty"`
-	// ThroughputHistory is the dated ns/inst trajectory across optimization
-	// passes, carried forward from the previous report at the output path. A
-	// new point is appended only when -date supplies an explicit date.
-	ThroughputHistory []histEntry `json:"throughput_history,omitempty"`
-}
-
-// histEntry is one dated point of the throughput trajectory.
-type histEntry struct {
-	Date      string  `json:"date"`
-	NsPerInst float64 `json:"ns_per_inst"`
-	Note      string  `json:"note,omitempty"`
+	RepriceFold result `json:"reprice_fold"`
 }
 
 // scanSink keeps the commit-scan microbenchmark live so the compiler cannot
@@ -121,8 +93,7 @@ func measure(f func(b *testing.B)) result {
 // measureBest is measure repeated three times, keeping the fastest run.
 // The minimum is the standard low-noise estimator for microbenchmarks on a
 // shared box: interference only ever adds time, so the smallest observation
-// is the closest to the code's true cost. Gated entries use this; figure
-// wall times (not gated, 3x too expensive) use plain measure.
+// is the closest to the code's true cost.
 func measureBest(f func(b *testing.B)) result {
 	best := measure(f)
 	for i := 0; i < 2; i++ {
@@ -135,27 +106,16 @@ func measureBest(f func(b *testing.B)) result {
 
 func main() {
 	out := flag.String("o", "BENCH_results.json", "output file")
-	parallel := flag.Int("parallel", 0, "figure simulation workers (0 = GOMAXPROCS)")
-	skipFigures := flag.Bool("skip-figures", false, "skip the per-figure wall-time runs")
-	warm := flag.Uint64("warmup", experiments.Quick.WarmupInsts, "figure warm-up instructions")
-	meas := flag.Uint64("measure", experiments.Quick.MeasureInsts, "figure measured instructions")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the throughput run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the microbenchmarks) to this file")
 	compare := flag.String("compare", "", "old BENCH_results.json to diff against; exit 1 on microbenchmark regressions beyond -threshold")
 	threshold := flag.Float64("threshold", 0.25, "relative ns/op regression tolerated by -compare (0.25 = 25%)")
-	date := flag.String("date", "", "append a {date, ns/inst} entry to the output's throughput_history; the date is explicit (e.g. 2026-08-08) because bpbench never reads the wall clock")
-	note := flag.String("note", "", "annotation stored with the -date history entry")
 	flag.Parse()
 
-	rc := experiments.RunConfig{WarmupInsts: *warm, MeasureInsts: *meas}
 	rep := report{
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Parallel:        *parallel,
-		WarmupInsts:     rc.WarmupInsts,
-		MeasureInsts:    rc.MeasureInsts,
 		EndCycle:        map[string]result{},
 		PredictorLookup: map[string]result{},
-		KernelLookup:    map[string]result{},
 	}
 
 	gzip, err := workload.ByName("164.gzip")
@@ -237,23 +197,6 @@ func main() {
 		fmt.Printf("lookup %-11s %8.2f ns/op    %d allocs/op\n", spec.Name, r.NsPerOp, r.AllocsPerOp)
 	}
 
-	for _, spec := range []bpred.Spec{bpred.Bim4k, bpred.Gsh16k12, bpred.PAs4k16k8, bpred.Hybrid1, bpred.TAGE64k, bpred.Perceptron64k} {
-		spec := spec
-		r := measureBest(func(b *testing.B) {
-			d := bpred.Devirt(spec.Build())
-			var pr bpred.Prediction
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pc := uint64(i*4) & 0xffff
-				pr = d.Lookup(pc)
-				d.Update(&pr, i&3 != 0)
-			}
-		})
-		rep.KernelLookup[spec.Name] = r
-		fmt.Printf("kernel %-14s %8.2f ns/op    %d allocs/op\n", spec.Name, r.NsPerOp, r.AllocsPerOp)
-	}
-
 	rep.SoACommitScan = measureBest(func(b *testing.B) {
 		sim := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
 		sim.Run(20000) // warm: a populated RUU with an in-flight done bitmap
@@ -315,57 +258,6 @@ func main() {
 		f.Close()
 	}
 
-	if !*skipFigures {
-		rep.Figures = map[string]result{}
-		figures := []struct {
-			name string
-			fn   func(*experiments.Harness, io.Writer)
-		}{
-			{"Table2", experiments.Table2},
-			{"Figure2", experiments.Figure2},
-			{"Figure5", experiments.Figure5},
-			{"Figure6", experiments.Figure6},
-			{"Figure7", experiments.Figure7},
-			{"Figure8", experiments.Figure8},
-			{"Figure9", experiments.Figure9},
-			{"Figure10", experiments.Figure10},
-			{"Figures12And13", experiments.Figures12And13},
-			{"Figure14", experiments.Figure14},
-			{"Figures16And17", experiments.Figures16And17},
-			{"Figure19", experiments.Figure19},
-		}
-		for _, fig := range figures {
-			fig := fig
-			// A fresh harness per iteration measures full regeneration, not
-			// cache hits (matching bench_test.go).
-			r := measure(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					h := experiments.NewHarness(rc)
-					h.Parallel = *parallel
-					fig.fn(h, io.Discard)
-				}
-			})
-			rep.Figures[fig.name] = r
-			fmt.Printf("figure %-14s %8.2f s/run\n", fig.name, r.NsPerOp/1e9)
-		}
-	}
-
-	// Carry the trajectory forward from the previous report at the output
-	// path, then append the current throughput when -date names a point.
-	if prev, err := os.ReadFile(*out); err == nil {
-		var old report
-		if json.Unmarshal(prev, &old) == nil {
-			rep.ThroughputHistory = old.ThroughputHistory
-		}
-	}
-	if *date != "" {
-		rep.ThroughputHistory = append(rep.ThroughputHistory, histEntry{
-			Date:      *date,
-			NsPerInst: rep.Throughput.NsPerOp,
-			Note:      *note,
-		})
-	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -413,28 +305,21 @@ func compareReports(oldPath string, newRep report, threshold float64) bool {
 	if oldRep.Step.Iterations > 0 {
 		entries = append(entries, entry{"step", oldRep.Step, newRep.Step})
 	}
-	appendMap := func(prefix string, oldM, newM map[string]result) {
-		keys := make([]string, 0, len(oldM))
-		for k := range oldM { //bplint:allow maprange -- keys are sorted before any order-dependent use
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if n, ok := newM[k]; ok {
-				entries = append(entries, entry{prefix + k, oldM[k], n})
-			}
-		}
-	}
-	// The meter kernel is recorded under "deferred", the key older
-	// baselines also hold; their eager and cross-check entries have no
-	// counterpart any more and are skipped.
 	if o, ok := oldRep.EndCycle["deferred"]; ok {
 		if n, ok := newRep.EndCycle["deferred"]; ok {
 			entries = append(entries, entry{"end_cycle/deferred", o, n})
 		}
 	}
-	appendMap("lookup/", oldRep.PredictorLookup, newRep.PredictorLookup)
-	appendMap("kernel/", oldRep.KernelLookup, newRep.KernelLookup)
+	lookups := make([]string, 0, len(oldRep.PredictorLookup))
+	for k := range oldRep.PredictorLookup { //bplint:allow maprange -- keys are sorted before any order-dependent use
+		lookups = append(lookups, k)
+	}
+	sort.Strings(lookups)
+	for _, k := range lookups {
+		if n, ok := newRep.PredictorLookup[k]; ok {
+			entries = append(entries, entry{"lookup/" + k, oldRep.PredictorLookup[k], n})
+		}
+	}
 	if oldRep.SoACommitScan.Iterations > 0 {
 		entries = append(entries, entry{"soa_commit_scan", oldRep.SoACommitScan, newRep.SoACommitScan})
 	}

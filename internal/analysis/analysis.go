@@ -25,7 +25,7 @@
 //   - hotpath: functions marked //bp:hotpath (Sim.step and its callees,
 //     Meter.EndCycle) must not range over maps, defer, or call methods
 //     through interfaces — the per-cycle kernel stays allocation-free and
-//     devirtualized
+//     calls its predictor through method values bound once
 //   - hotreach: the transitive closure of //bp:hotpath — a hot function may
 //     only statically call hot-marked functions (enforced across packages
 //     via analysis facts), and hot bodies may not heap-allocate (make/new/

@@ -19,8 +19,9 @@ import (
 //   - defer — a deferred call allocates a frame record and runs epilogue
 //     code on every invocation, millions of times per simulated second
 //   - calling a method through an interface — dynamic dispatch defeats
-//     inlining; hot-path callees must be concrete (or devirtualized function
-//     values bound at construction, as with bpred.Devirt)
+//     inlining; hot-path callees must be concrete, or func values bound at
+//     construction (the simulator binds its predictor's hot methods once as
+//     interface method values, e.g. s.predLookup = s.pred.Lookup)
 //
 // The marker binds one function, not its callees: every function on the hot
 // path carries its own marker, so the contract is visible at each

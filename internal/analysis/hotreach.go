@@ -22,9 +22,10 @@ import (
 //
 //   - direct calls and concrete method calls must target a //bp:hotpath
 //     function (the miss is reported at the call site)
-//   - calls through func values (s.predFn.Lookup, bpred.Devirt handles) are
-//     exempt: devirtualized dispatch is the sanctioned hot-path indirection,
-//     and the bound implementations carry their own markers
+//   - calls through func values (s.predLookup and the other predictor
+//     methods the simulator binds once as interface method values) are
+//     exempt: a value bound at construction is the sanctioned hot-path
+//     indirection, and the bound implementations carry their own markers
 //   - interface-method calls are Hotpath's diagnostic, not repeated here
 //   - builtins (len, cap, panic on the failure path) are exempt, as are the
 //     pure math and math/bits stdlib kernels
@@ -163,7 +164,7 @@ func checkHotCall(pass *analysis.Pass, sup *suppressions, isHot func(*types.Func
 
 	fn := typeutil.StaticCallee(pass.TypesInfo, call)
 	if fn == nil {
-		// Func-value call (devirtualized handle) or interface dispatch:
+		// Func-value call (a bound method value) or interface dispatch:
 		// the former is sanctioned, the latter is Hotpath's finding.
 		return
 	}

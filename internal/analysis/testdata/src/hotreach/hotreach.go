@@ -49,7 +49,7 @@ func kernel(xs []float64, v vec, a, b string) float64 {
 	sink(v)           // want `concrete value boxed into interface parameter 1 of sink`
 	sink(&v)          // pointer argument: no boxing copy
 	fn := cold
-	s += fn(s)         // func-value call: the sanctioned devirtualized indirection
+	s += fn(s)         // func-value call: the sanctioned hot-path indirection
 	xs = append(xs, 0) //bplint:allow hotreach -- fixture: documented cold sub-path
 	return s + xs[0]
 }

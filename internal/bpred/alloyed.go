@@ -123,9 +123,6 @@ func (a *Alloyed) Reset() {
 	a.ghist = 0
 }
 
-// BindHot implements the HotBinder capability.
-func (a *Alloyed) BindHot() Funcs { return Funcs{a.Lookup, a.Unwind, a.Redirect, a.Update, true} }
-
 // CaptureState implements the Checkpointer capability.
 func (a *Alloyed) CaptureState() State {
 	return State{snap: &tableSnap{
@@ -145,6 +142,5 @@ func (a *Alloyed) RestoreState(s State) {
 
 var (
 	_ Predictor    = (*Alloyed)(nil)
-	_ HotBinder    = (*Alloyed)(nil)
 	_ Checkpointer = (*Alloyed)(nil)
 )

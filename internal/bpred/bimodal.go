@@ -60,9 +60,6 @@ func (b *Bimodal) TotalBits() int { return b.pht.entries() * 2 }
 // Reset restores power-on state.
 func (b *Bimodal) Reset() { b.pht.reset() }
 
-// BindHot implements the HotBinder capability.
-func (b *Bimodal) BindHot() Funcs { return Funcs{b.Lookup, b.Unwind, b.Redirect, b.Update, true} }
-
 // CaptureState implements the Checkpointer capability.
 func (b *Bimodal) CaptureState() State {
 	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(b.pht.ctr)}}}
@@ -73,6 +70,5 @@ func (b *Bimodal) RestoreState(s State) { s.tables().restoreCtr(b.pht.ctr, 0) }
 
 var (
 	_ Predictor    = (*Bimodal)(nil)
-	_ HotBinder    = (*Bimodal)(nil)
 	_ Checkpointer = (*Bimodal)(nil)
 )

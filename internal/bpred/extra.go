@@ -56,9 +56,6 @@ func (s *Static) TotalBits() int { return 0 }
 // Reset is a no-op.
 func (s *Static) Reset() {}
 
-// BindHot implements the HotBinder capability.
-func (s *Static) BindHot() Funcs { return Funcs{s.Lookup, s.Unwind, s.Redirect, s.Update, true} }
-
 // CaptureState implements the Checkpointer capability: static predictors
 // have no mutable state, so the snapshot is empty.
 func (s *Static) CaptureState() State { return State{snap: &tableSnap{}} }
@@ -135,9 +132,6 @@ func (g *Gselect) Reset() {
 	g.pht.reset()
 	g.ghist = 0
 }
-
-// BindHot implements the HotBinder capability.
-func (g *Gselect) BindHot() Funcs { return Funcs{g.Lookup, g.Unwind, g.Redirect, g.Update, true} }
 
 // CaptureState implements the Checkpointer capability.
 func (g *Gselect) CaptureState() State {
@@ -226,9 +220,6 @@ func (p *PAg) Reset() {
 	p.pht.reset()
 }
 
-// BindHot implements the HotBinder capability.
-func (p *PAg) BindHot() Funcs { return Funcs{p.Lookup, p.Unwind, p.Redirect, p.Update, true} }
-
 // CaptureState implements the Checkpointer capability.
 func (p *PAg) CaptureState() State {
 	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(p.pht.ctr)}, bhts: [][]uint32{cloneBHT(p.bht)}}}
@@ -246,9 +237,6 @@ var (
 	_ Predictor    = (*Static)(nil)
 	_ Predictor    = (*Gselect)(nil)
 	_ Predictor    = (*PAg)(nil)
-	_ HotBinder    = (*Static)(nil)
-	_ HotBinder    = (*Gselect)(nil)
-	_ HotBinder    = (*PAg)(nil)
 	_ Checkpointer = (*Static)(nil)
 	_ Checkpointer = (*Gselect)(nil)
 	_ Checkpointer = (*PAg)(nil)

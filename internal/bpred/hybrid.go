@@ -218,9 +218,6 @@ func (h *Hybrid) TotalBits() int {
 	return total
 }
 
-// BindHot implements the HotBinder capability.
-func (h *Hybrid) BindHot() Funcs { return Funcs{h.Lookup, h.Unwind, h.Redirect, h.Update, true} }
-
 // CaptureState implements the Checkpointer capability.
 func (h *Hybrid) CaptureState() State {
 	return State{snap: &tableSnap{
@@ -243,7 +240,6 @@ func (h *Hybrid) RestoreState(s State) {
 
 var (
 	_ Predictor    = (*Hybrid)(nil)
-	_ HotBinder    = (*Hybrid)(nil)
 	_ Checkpointer = (*Hybrid)(nil)
 )
 

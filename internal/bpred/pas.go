@@ -106,9 +106,6 @@ func (p *PAs) Reset() {
 	p.pht.reset()
 }
 
-// BindHot implements the HotBinder capability.
-func (p *PAs) BindHot() Funcs { return Funcs{p.Lookup, p.Unwind, p.Redirect, p.Update, true} }
-
 // CaptureState implements the Checkpointer capability.
 func (p *PAs) CaptureState() State {
 	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(p.pht.ctr)}, bhts: [][]uint32{cloneBHT(p.bht)}}}
@@ -123,6 +120,5 @@ func (p *PAs) RestoreState(s State) {
 
 var (
 	_ Predictor    = (*PAs)(nil)
-	_ HotBinder    = (*PAs)(nil)
 	_ Checkpointer = (*PAs)(nil)
 )

@@ -169,9 +169,6 @@ func (p *Perceptron) Reset() {
 	p.ghist = 0
 }
 
-// BindHot implements the HotBinder capability.
-func (p *Perceptron) BindHot() Funcs { return Funcs{p.Lookup, p.Unwind, p.Redirect, p.Update, true} }
-
 // CaptureState implements the Checkpointer capability with a
 // perceptron-shaped snapshot: the signed weight matrix and the history.
 func (p *Perceptron) CaptureState() State {
@@ -204,6 +201,5 @@ func (*perceptronSnap) isSnapshot() {}
 
 var (
 	_ Predictor    = (*Perceptron)(nil)
-	_ HotBinder    = (*Perceptron)(nil)
 	_ Checkpointer = (*Perceptron)(nil)
 )

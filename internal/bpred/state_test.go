@@ -70,8 +70,8 @@ func TestCheckpointRoundTripAllRegisteredConfigs(t *testing.T) {
 	}
 }
 
-// unknownPredictor is a Predictor that implements neither the HotBinder nor
-// the Checkpointer capability, standing in for an external implementation.
+// unknownPredictor is a Predictor without the Checkpointer capability,
+// standing in for an external implementation.
 type unknownPredictor struct{}
 
 func (unknownPredictor) Name() string { return "unknown" }
@@ -103,21 +103,5 @@ func TestCaptureStateUnknownTypeError(t *testing.T) {
 		t.Fatal("RestoreState on a non-Checkpointer succeeded, want error")
 	} else if !strings.Contains(err.Error(), "Checkpointer") {
 		t.Errorf("RestoreState error %q does not name the capability", err)
-	}
-}
-
-// Devirt must still accept capability-less predictors by falling back to
-// interface-bound methods, reporting Concrete=false so registry tests can
-// tell the difference.
-func TestDevirtUnknownTypeFallsBack(t *testing.T) {
-	fns := Devirt(unknownPredictor{})
-	if fns.Concrete {
-		t.Error("Devirt of a non-HotBinder reported Concrete=true")
-	}
-	if fns.Lookup == nil || fns.Unwind == nil || fns.Redirect == nil || fns.Update == nil {
-		t.Fatal("Devirt fallback returned nil function(s)")
-	}
-	if got := fns.Lookup(0x40); got.PC != 0x40 {
-		t.Errorf("fallback Lookup PC = %#x, want 0x40", got.PC)
 	}
 }

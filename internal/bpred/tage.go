@@ -380,9 +380,6 @@ func (t *TAGE) Reset() {
 	t.tick = 0
 }
 
-// BindHot implements the HotBinder capability.
-func (t *TAGE) BindHot() Funcs { return Funcs{t.Lookup, t.Unwind, t.Redirect, t.Update, true} }
-
 // CaptureState implements the Checkpointer capability with a TAGE-shaped
 // snapshot: packed tagged tables, base counters, history, allocator state.
 func (t *TAGE) CaptureState() State {
@@ -424,6 +421,5 @@ func (*tageSnap) isSnapshot() {}
 
 var (
 	_ Predictor    = (*TAGE)(nil)
-	_ HotBinder    = (*TAGE)(nil)
 	_ Checkpointer = (*TAGE)(nil)
 )

@@ -98,11 +98,6 @@ func (t *TwoLevelGlobal) Reset() {
 	t.ghist = 0
 }
 
-// BindHot implements the HotBinder capability.
-func (t *TwoLevelGlobal) BindHot() Funcs {
-	return Funcs{t.Lookup, t.Unwind, t.Redirect, t.Update, true}
-}
-
 // CaptureState implements the Checkpointer capability.
 func (t *TwoLevelGlobal) CaptureState() State {
 	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(t.pht.ctr)}, regs: []uint64{t.ghist}}}
@@ -117,6 +112,5 @@ func (t *TwoLevelGlobal) RestoreState(s State) {
 
 var (
 	_ Predictor    = (*TwoLevelGlobal)(nil)
-	_ HotBinder    = (*TwoLevelGlobal)(nil)
 	_ Checkpointer = (*TwoLevelGlobal)(nil)
 )

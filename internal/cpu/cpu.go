@@ -88,14 +88,19 @@ type Sim struct {
 
 	walker *program.Walker
 	pred   bpred.Predictor
-	// predFn is pred's hot-path method set devirtualized at construction
-	// (bpred.Devirt): the fetch/resolve/commit path calls these bound
-	// functions instead of dispatching through the interface per lookup.
-	predFn bpred.Funcs
 	btb    *btb.BTB
 	ras    *ras.RAS
 	ppd    *ppd.PPD
 	gate   *gating.Gate
+
+	// pred's hot-path methods, bound once at construction as interface
+	// method values. The //bp:hotpath fetch, squash and commit functions
+	// call these func values: the hotpath analyzer forbids interface-method
+	// calls there and sanctions calls through values bound at construction.
+	predLookup   func(pc uint64) bpred.Prediction
+	predUnwind   func(p *bpred.Prediction)
+	predRedirect func(p *bpred.Prediction, taken bool)
+	predUpdate   func(p *bpred.Prediction, taken bool)
 
 	il1, dl1, l2 *cache.Cache
 	itlb, dtlb   *cache.TLB
@@ -225,7 +230,7 @@ func New(prog *program.Program, opt Options) (*Sim, error) {
 	s.wheel = make([]uint64, rows*s.nw)
 	s.wheelRows = uint64(rows)
 	s.wheelMask = uint64(rows - 1)
-	s.predFn = bpred.Devirt(s.pred)
+	s.predLookup, s.predUnwind, s.predRedirect, s.predUpdate = s.pred.Lookup, s.pred.Unwind, s.pred.Redirect, s.pred.Update
 	s.l2 = cache.New(cfg.L2, s.mem)
 	s.il1 = cache.New(cfg.IL1, s.l2)
 	s.dl1 = cache.New(cfg.DL1, s.l2)

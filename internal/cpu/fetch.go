@@ -183,7 +183,7 @@ func (s *Sim) predictControl(fqi int) (next uint64, stop bool) {
 	}
 	switch si.Class {
 	case isa.ClassBranch:
-		pr := s.predFn.Lookup(pc)
+		pr := s.predLookup(pc)
 		fq.pred[fqi] = pr
 		flags := fq.flags[fqi] | fHasPred | fHasRAS
 		if pr.Taken {

@@ -373,7 +373,7 @@ func (s *Sim) resolve(id int64, slot int) {
 	s.squashAfter(id)
 	// Repair speculative predictor history with the resolved outcome.
 	if f&fHasPred != 0 {
-		s.predFn.Redirect(&s.rob.pred[slot], f&fActualTaken != 0)
+		s.predRedirect(&s.rob.pred[slot], f&fActualTaken != 0)
 	}
 	// Repair the RAS, then re-apply this instruction's own stack operation.
 	if f&fHasRAS != 0 {
@@ -468,7 +468,7 @@ func (s *Sim) clearWaiterBit(dep int64, ys int) {
 func (s *Sim) unfetch(es *entryStore, i int) {
 	f := es.flags[i]
 	if f&fHasPred != 0 {
-		s.predFn.Unwind(&es.pred[i])
+		s.predUnwind(&es.pred[i])
 	}
 	if f&fIsCond != 0 && f&fResolved == 0 {
 		s.gate.OnRemoveBranch(f&fLowConf == 0)
@@ -527,7 +527,7 @@ func (s *Sim) commit() {
 		}
 		actualTaken := f&fActualTaken != 0
 		if f&fIsCond != 0 {
-			s.predFn.Update(&s.rob.pred[hs], actualTaken)
+			s.predUpdate(&s.rob.pred[hs], actualTaken)
 			nCond++
 			correct := (f&fPredTaken != 0) == actualTaken
 			if j := s.gate.JRSTable(); j != nil {

@@ -50,14 +50,7 @@ func (s *Store) LoadActivity(bench string, opt cpu.Options, rc experiments.RunCo
 	}
 	var e actFileEntry
 	if jerr := json.Unmarshal(data, &e); jerr != nil || e.Key != key {
-		os.Remove(path)
-		s.count(func() {
-			s.corrupt++
-			s.misses++
-			s.entries--
-			s.actEntries--
-			s.bytes -= int64(len(data))
-		})
+		s.dropCorrupt(path)
 		return experiments.ActivityRecord{}, false
 	}
 	s.count(func() { s.hits++ })

@@ -153,13 +153,7 @@ func (s *Store) Load(bench string, opt cpu.Options, rc experiments.RunConfig) (e
 	if jerr := json.Unmarshal(data, &e); jerr != nil || e.Key != key {
 		// Truncated write, disk corruption, or a foreign file under our
 		// name: drop it so the next Save rewrites a clean entry.
-		os.Remove(path)
-		s.count(func() {
-			s.corrupt++
-			s.misses++
-			s.entries--
-			s.bytes -= int64(len(data))
-		})
+		s.dropCorrupt(path)
 		return experiments.Run{}, false
 	}
 	s.count(func() { s.hits++ })
@@ -226,6 +220,20 @@ func (s *Store) writeAtomic(path string, data []byte) bool {
 	return true
 }
 
+// dropCorrupt deletes an unreadable entry, counts the miss, and recounts
+// occupancy from the directory. Decrementing this handle's counters instead
+// would drive them negative whenever the file was written by another handle
+// after this one's Open; the rescan is as rare as corruption itself.
+func (s *Store) dropCorrupt(path string) {
+	os.Remove(path)
+	entries, actEntries, bytes := s.scan()
+	s.mu.Lock()
+	s.corrupt++
+	s.misses++
+	s.entries, s.actEntries, s.bytes = entries, actEntries, bytes
+	s.mu.Unlock()
+}
+
 // count runs a counter mutation under the lock.
 func (s *Store) count(fn func()) {
 	s.mu.Lock()
@@ -275,7 +283,7 @@ func (s *Store) list() []scanned {
 	return out
 }
 
-// scan totals the directory for Open.
+// scan totals the directory for Open and for dropCorrupt.
 func (s *Store) scan() (entries, actEntries int, bytes int64) {
 	for _, e := range s.list() {
 		entries++

@@ -147,6 +147,64 @@ func TestCorruptionTolerated(t *testing.T) {
 	}
 }
 
+// TestCorruptDropCountsTruthfully: a handle that drops a corrupt entry it
+// never counted — another handle on the shared directory wrote it after this
+// one's Open — must still report the directory's real occupancy, never a
+// negative one.
+func TestCorruptDropCountsTruthfully(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := experiments.Quick
+	a.Save("164.gzip", optFor(0), rc, fakeRun(0))
+	b.Save("175.vpr", optFor(0), rc, fakeRun(1))
+	b.SaveActivity("175.vpr", optFor(1), rc, fakeActivity(1))
+
+	corrupt := func(path string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte("{garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		got := a.Stats()
+		fresh, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.Stats()
+		if got.Entries < 0 || got.ActivityEntries < 0 || got.Bytes < 0 {
+			t.Fatalf("%s: negative occupancy %+v", when, got)
+		}
+		if got.Entries != want.Entries || got.ActivityEntries != want.ActivityEntries || got.Bytes != want.Bytes {
+			t.Fatalf("%s: occupancy %d entries / %d activity / %d bytes, directory holds %d / %d / %d",
+				when, got.Entries, got.ActivityEntries, got.Bytes, want.Entries, want.ActivityEntries, want.Bytes)
+		}
+	}
+
+	corrupt(a.activityPath(activityKeyString("175.vpr", optFor(1), rc)))
+	if _, ok := a.LoadActivity("175.vpr", optFor(1), rc); ok {
+		t.Fatal("corrupt activity entry reported a hit")
+	}
+	check("after dropping the other handle's activity entry")
+
+	corrupt(a.entryPath(keyString("175.vpr", optFor(0), rc)))
+	if _, ok := a.Load("175.vpr", optFor(0), rc); ok {
+		t.Fatal("corrupt run entry reported a hit")
+	}
+	check("after dropping the other handle's run entry")
+	if st := a.Stats(); st.Entries != 1 || st.Corrupt != 2 {
+		t.Fatalf("stats = %+v, want 1 entry left and 2 corrupt drops", st)
+	}
+}
+
 // TestStrayTempIgnored: a temp file left by a crashed writer must not count
 // as an entry or break a scan.
 func TestStrayTempIgnored(t *testing.T) {

@@ -84,8 +84,8 @@ go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorStep$|
 
 # Figure-output byte identity: regenerating the full experiment suite must
 # reproduce the committed experiments_output.txt exactly — the accounting
-# kernel, predictor devirtualization, and any future hot-loop work must
-# never change a reported number.
+# kernel, how the simulator dispatches to its predictor, and any future
+# hot-loop work must never change a reported number.
 go run ./cmd/bpexperiments -parallel "$(nproc)" > "$tmp/experiments_output.txt"
 diff "$tmp/experiments_output.txt" experiments_output.txt
 echo "experiments output: byte-identical to committed experiments_output.txt"
@@ -250,4 +250,4 @@ echo "load smoke: bpload -smoke completed with zero errors"
 # committed baseline; fail on >15% ns/op regressions or new allocations.
 # It runs last so that a noisy host cannot hide the byte-identity, service
 # and replica gates above.
-go run ./cmd/bpbench -skip-figures -o "$tmp/bench.json" -compare BENCH_results.json -threshold 0.15
+go run ./cmd/bpbench -o "$tmp/bench.json" -compare BENCH_results.json -threshold 0.15

@@ -10,7 +10,7 @@
 //	bpbench                      # write BENCH_results.json in the cwd
 //	bpbench -o /tmp/bench.json -compare BENCH_results.json
 //	                             # fail (exit 1) if a microbenchmark regressed
-//	                             # more than -threshold vs the old file
+//	                             # more than 15% vs the old file
 //	bpbench -cpuprofile cpu.out -memprofile mem.out
 //
 // -compare gates every entry except checkpoint/restore, which is
@@ -60,7 +60,7 @@ type report struct {
 	// commit cycle, measured in isolation on a warm pipeline.
 	SoACommitScan result `json:"soa_commit_scan"`
 	// CheckpointRestore is one full Checkpoint plus Restore of a warm
-	// simulator — the per-boundary hand-off cost of a segmented run.
+	// simulator — the cost of handing warmed state to another Sim.
 	CheckpointRestore result `json:"checkpoint_restore"`
 	// RepriceFold is one pricing-key fold: rebuilding the unit set for a
 	// power configuration and repricing a cached activity vector through it.
@@ -108,8 +108,7 @@ func main() {
 	out := flag.String("o", "BENCH_results.json", "output file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the throughput run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the microbenchmarks) to this file")
-	compare := flag.String("compare", "", "old BENCH_results.json to diff against; exit 1 on microbenchmark regressions beyond -threshold")
-	threshold := flag.Float64("threshold", 0.25, "relative ns/op regression tolerated by -compare (0.25 = 25%)")
+	compare := flag.String("compare", "", "old BENCH_results.json to diff against; exit 1 on microbenchmark regressions beyond 15%")
 	flag.Parse()
 
 	rep := report{
@@ -271,19 +270,22 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 
 	if *compare != "" {
-		if !compareReports(*compare, rep, *threshold) {
+		if !compareReports(*compare, rep) {
 			os.Exit(1)
 		}
 	}
 }
 
+// regressionThreshold is the relative ns/op regression -compare tolerates.
+const regressionThreshold = 0.15
+
 // compareReports diffs the new microbenchmark numbers against the report in
 // oldPath, printing a delta line per entry. It returns false when any entry
-// present in both reports got slower by more than threshold (relative) and
-// by more than 5 ns (absolute — few-ns deltas on small loops are layout and
-// scheduler jitter, not regressions), or when a previously allocation-free
-// entry now allocates.
-func compareReports(oldPath string, newRep report, threshold float64) bool {
+// present in both reports got slower by more than regressionThreshold
+// (relative) and by more than 5 ns (absolute — few-ns deltas on small loops
+// are layout and scheduler jitter, not regressions), or when a previously
+// allocation-free entry now allocates.
+func compareReports(oldPath string, newRep report) bool {
 	data, err := os.ReadFile(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bpbench: -compare: %v\n", err)
@@ -330,7 +332,7 @@ func compareReports(oldPath string, newRep report, threshold float64) bool {
 	}
 
 	ok := true
-	fmt.Printf("compare vs %s (threshold %.0f%%):\n", oldPath, threshold*100)
+	fmt.Printf("compare vs %s (threshold %.0f%%):\n", oldPath, regressionThreshold*100)
 	for _, e := range entries {
 		if e.old.Iterations == 0 || e.old.NsPerOp <= 0 {
 			continue
@@ -345,7 +347,7 @@ func compareReports(oldPath string, newRep report, threshold float64) bool {
 		// regression in those kernels still shows up here through the
 		// end-to-end throughput and step entries, where 15% is far above
 		// the floor.
-		case delta > threshold && e.new.NsPerOp-e.old.NsPerOp > 5.0:
+		case delta > regressionThreshold && e.new.NsPerOp-e.old.NsPerOp > 5.0:
 			verdict = "REGRESSION"
 			ok = false
 		case e.old.AllocsPerOp == 0 && e.new.AllocsPerOp > 0:

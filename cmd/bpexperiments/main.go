@@ -28,7 +28,6 @@ func main() {
 	warm := flag.Uint64("warmup", 0, "override warm-up instruction count")
 	measure := flag.Uint64("measure", 0, "override measured instruction count")
 	parallel := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS); output is identical at any value")
-	segments := flag.Int("segments", 0, "split each simulation into this many checkpoint-stitched segments (0 or 1 = monolithic); output is identical at any value")
 	flag.Parse()
 
 	rc := experiments.Default
@@ -43,7 +42,6 @@ func main() {
 	}
 	h := experiments.NewHarness(rc)
 	h.Parallel = *parallel
-	h.Segments = *segments
 	w := os.Stdout
 
 	switch {

@@ -41,7 +41,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 4096, "run-cache LRU bound (negative = unbounded)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "server-side deadline per /v1 request")
 	drain := flag.Duration("drain", 15*time.Second, "inflight-request drain budget on shutdown")
-	segmentInsts := flag.Uint64("segment-insts", 0, "instructions per checkpoint-stitched run segment, bounding cancellation latency (0 = default); responses are identical at any value")
 	storeDir := flag.String("store-dir", "", "directory for the persistent result store (empty = memory-only); replicas and restarts sharing it start warm, responses are identical either way")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "result-store size bound in bytes before GC (0 = 256 MiB, negative = unbounded)")
 	flag.Parse()
@@ -61,7 +60,6 @@ func main() {
 		MaxConcurrent:  *maxConcurrent,
 		CacheEntries:   *cacheEntries,
 		RequestTimeout: *timeout,
-		SegmentInsts:   *segmentInsts,
 		Store:          store,
 		Logger:         logger,
 	})

@@ -39,7 +39,7 @@ type Checkpointer interface {
 func CaptureState(p Predictor) (State, error) {
 	c, ok := p.(Checkpointer)
 	if !ok {
-		return State{}, fmt.Errorf("bpred: predictor type %T does not implement bpred.Checkpointer (CaptureState/RestoreState); checkpoint and run segmentation require the capability", p)
+		return State{}, fmt.Errorf("bpred: predictor type %T does not implement bpred.Checkpointer (CaptureState/RestoreState); cpu.Checkpoint and cpu.Restore require the capability", p)
 	}
 	return c.CaptureState(), nil
 }
@@ -49,7 +49,7 @@ func CaptureState(p Predictor) (State, error) {
 func RestoreState(p Predictor, s State) error {
 	c, ok := p.(Checkpointer)
 	if !ok {
-		return fmt.Errorf("bpred: predictor type %T does not implement bpred.Checkpointer (CaptureState/RestoreState); checkpoint and run segmentation require the capability", p)
+		return fmt.Errorf("bpred: predictor type %T does not implement bpred.Checkpointer (CaptureState/RestoreState); cpu.Checkpoint and cpu.Restore require the capability", p)
 	}
 	c.RestoreState(s)
 	return nil

@@ -20,10 +20,10 @@ import (
 // Restoring a Checkpoint into a Sim built with the same program and Options
 // resumes the simulation exactly: every subsequent cycle — and therefore
 // every statistic and every energy reading — is bit-for-bit identical to a
-// run that never paused. This is the substrate for segmented paper-scale
-// runs: a long run is split into fixed instruction-count segments, each
-// picked up from the previous segment's checkpoint, and the stitched totals
-// equal the monolithic ones exactly.
+// run that never paused. No simulation path hands state between Sims
+// today (experiments.simulate advances one Sim in RunTo chunks); the
+// capability is kept for handing warmed state to another simulator, and its
+// tests pin the resume identity.
 type Checkpoint struct {
 	cycle uint64
 
@@ -203,16 +203,4 @@ func (s *Sim) Restore(cp *Checkpoint) {
 	*s.mem = cp.mem
 
 	s.meter.SetState(cp.meter)
-}
-
-// RunTo simulates until the lifetime committed-instruction count reaches
-// target (a no-op when already past it). Because Run's per-cycle stop checks
-// never modify machine state, pausing at intermediate targets and resuming —
-// on this Sim or on another one via Checkpoint/Restore — executes exactly
-// the cycle sequence of one uninterrupted Run to the final target, as long
-// as no segment trips Run's pathological-configuration cycle limit.
-func (s *Sim) RunTo(target uint64) {
-	if target > s.stats.Committed {
-		s.Run(target - s.stats.Committed)
-	}
 }

@@ -415,6 +415,18 @@ func (s *Sim) Run(n uint64) {
 	}
 }
 
+// RunTo simulates until the committed-instruction count reaches target (a
+// no-op when already past it). Because Run's per-cycle stop checks never
+// modify machine state, pausing at intermediate targets and resuming — on
+// this Sim or on another one via Checkpoint/Restore — executes exactly the
+// cycle sequence of one uninterrupted Run to the final target, as long as
+// no leg trips Run's pathological-configuration cycle limit.
+func (s *Sim) RunTo(target uint64) {
+	if target > s.stats.Committed {
+		s.Run(target - s.stats.Committed)
+	}
+}
+
 // runBlock steps up to block cycles, stopping early once target instructions
 // have committed. The cycle bound is a local countdown so the hot loop
 // re-reads only the commit counter.

@@ -39,11 +39,11 @@ func runDiff(got, want Run) []string {
 // reference a harness Run is checked against.
 func directRun(t *testing.T, p *program.Program, b workload.Benchmark, opt cpu.Options, rc RunConfig) Run {
 	t.Helper()
-	r, _, err := simulateCtx(context.Background(), p, b, opt, rc)
+	rec, err := simulate(context.Background(), p, b, opt, rc, chunkInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return rec.Run
 }
 
 // Every clock-gating style is a fold of the CC3 base run, and each must
@@ -63,7 +63,7 @@ func TestAccountingEquivalenceAcrossGatingStyles(t *testing.T) {
 			if err := h.Err(); err != nil {
 				t.Fatal(err)
 			}
-			want := directRun(t, h.programFor(bench), bench, opt, rc)
+			want := directRun(t, h.Cache.Program(bench), bench, opt, rc)
 			for _, d := range runDiff(got, want) {
 				t.Error(d)
 			}
@@ -115,13 +115,15 @@ func TestFoldMatchesSimulationAcrossPlan(t *testing.T) {
 
 	progs := make([]*program.Program, len(jobs))
 	for i, j := range jobs {
-		progs[i] = h.programFor(j.Bench)
+		progs[i] = h.Cache.Program(j.Bench)
 	}
 	want := make([]Run, len(jobs))
 	acts := make([]power.Activity, len(jobs))
 	errs := make([]error, len(jobs))
 	ForEach(h.Workers(), len(jobs), func(i int) {
-		want[i], acts[i], errs[i] = simulateCtx(context.Background(), progs[i], jobs[i].Bench, jobs[i].Opt, rc)
+		var rec ActivityRecord
+		rec, errs[i] = simulate(context.Background(), progs[i], jobs[i].Bench, jobs[i].Opt, rc, chunkInsts)
+		want[i], acts[i] = rec.Run, rec.Activity
 	})
 	for i, j := range jobs {
 		if errs[i] != nil {

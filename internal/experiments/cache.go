@@ -11,10 +11,12 @@ import (
 	"bpredpower/internal/workload"
 )
 
-// RunCache is a concurrency-safe, bounded memo of activity records shared
-// across harnesses. It is the serving layer's answer to the Harness memo
-// maps, which are deliberately single-goroutine: a server builds one
-// RunCache at startup, hands it to a fresh Harness per request, and gets
+// RunCache is a concurrency-safe, bounded memo of activity records. Every
+// Harness resolves its records through one (NewHarness gives each its own,
+// unbounded); shared across harnesses, it is the serving layer's answer to
+// the Harness memo maps, which are deliberately single-goroutine: a server
+// builds one RunCache at startup, hands it to a fresh Harness per request,
+// and gets
 //
 //   - singleflight: concurrent demand for the same (benchmark, execution
 //     options, run-config) key runs exactly one simulation — later arrivals

@@ -6,10 +6,11 @@
 // 14), the prediction probe detector (Figures 16-17), and pipeline gating
 // (Figure 19).
 //
-// A Harness memoizes generated programs and simulation runs so figures that
-// share underlying sweeps (5/6/7 and 8/9/10) pay for each run once. Every
-// Run it reports comes from one simulation per execution key: the base Run
-// of that simulation's ActivityRecord, or a closed-form Reprice fold of it.
+// A Harness memoizes simulation runs (and, through its RunCache, program
+// images) so figures that share underlying sweeps (5/6/7 and 8/9/10) pay
+// for each run once. Every Run it reports comes from one simulation per
+// execution key: the base Run of that simulation's ActivityRecord, or a
+// closed-form Reprice fold of it.
 package experiments
 
 import (
@@ -84,42 +85,33 @@ type Job struct {
 	Opt   cpu.Options
 }
 
-// Harness memoizes programs and runs. Parallel sets the worker count used by
-// Prefetch (0 means GOMAXPROCS); the memo maps themselves are only ever
-// touched from the caller's goroutine, so a Harness is not safe for
-// concurrent use — parallelism happens inside Prefetch, not across callers.
+// Harness memoizes runs. Parallel sets the worker count used by Prefetch
+// (0 means GOMAXPROCS); the memo maps themselves are only ever touched from
+// the caller's goroutine, so a Harness is not safe for concurrent use —
+// parallelism happens inside Prefetch, not across callers.
 //
-// Ctx, when set, is consulted between simulations (and between the warm-up
-// and measurement phases of each one): once it is canceled the harness stops
-// starting work, records the context error (Err), and returns zero Runs for
-// anything it did not finish. Nothing partial is ever memoized, so a harness
-// that was canceled can simply be retried. A nil Ctx means Background, i.e.
-// the pre-cancellation behavior — the CLI path takes exactly the code path
-// it always has.
+// Ctx, when set, is consulted between simulations and between the chunks
+// each simulation runs in (see simulate): once it is canceled the harness
+// stops starting work, records the context error (Err), and returns zero
+// Runs for anything it did not finish. Nothing partial is ever memoized, so
+// a harness that was canceled can simply be retried. A nil Ctx means
+// Background.
 //
-// Cache, when set, replaces the private activity memo with a shared,
-// bounded, concurrency-safe cache (see RunCache): several harnesses — one
-// per server request, say — then deduplicate identical simulations across
-// goroutines via its singleflight and share one LRU budget.
-//
-// Segments, when > 1, splits each simulation's warm-up and measurement
-// phases into that many fixed instruction-count segments stitched through
-// cpu.Checkpoint/Restore (see simulateSegmentedCtx). Results are
-// byte-identical at any value — segmentation only tightens cancellation
-// latency from one run to one segment — so segmented and monolithic runs
-// legitimately share RunCache entries. Set it before the first simulation;
-// like Parallel it is read concurrently by Prefetch workers.
+// Cache resolves every activity record and program image the harness
+// needs. NewHarness gives each harness its own unbounded RunCache; a caller
+// may replace it with a shared, bounded one — one per server, say — so
+// several harnesses deduplicate identical simulations across goroutines via
+// its singleflight and share one LRU budget. Set it before the first
+// simulation.
 type Harness struct {
 	RC       RunConfig
 	Parallel int
 	Ctx      context.Context
 	Cache    *RunCache
-	Segments int
 
-	err   error
-	progs map[string]*program.Program
-	runs  map[runKey]Run
-	acts  map[runKey]ActivityRecord
+	err  error
+	runs map[runKey]Run
+	acts map[runKey]ActivityRecord
 
 	actSims  atomic.Uint64 // base simulations this harness computed itself
 	actFolds atomic.Uint64 // Runs produced by folding a cached activity
@@ -132,7 +124,7 @@ type Harness struct {
 func NewHarness(rc RunConfig) *Harness {
 	return &Harness{
 		RC:    rc,
-		progs: map[string]*program.Program{},
+		Cache: NewRunCache(0),
 		runs:  map[runKey]Run{},
 		acts:  map[runKey]ActivityRecord{},
 	}
@@ -155,20 +147,6 @@ func (h *Harness) noteErr(err error) {
 	if h.err == nil && err != nil {
 		h.err = err
 	}
-}
-
-// programFor returns the (memoized) program image of a benchmark.
-// Programs are immutable during simulation, so sharing is safe.
-func (h *Harness) programFor(b workload.Benchmark) *program.Program {
-	if h.Cache != nil {
-		return h.Cache.Program(b)
-	}
-	if p, ok := h.progs[b.Name]; ok {
-		return p
-	}
-	p := b.Program()
-	h.progs[b.Name] = p
-	return p
 }
 
 // Workers returns the number of goroutines Prefetch and ForEach use.
@@ -238,10 +216,11 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 		return ctx.Err()
 	}
 
-	// Phase 1: generate missing program images in parallel. Generation is
-	// per-benchmark (independent of Options), so dedupe by name. With a
-	// shared cache the cache's own singleflight memoizes; otherwise workers
-	// write disjoint slots and the results merge on the caller's goroutine.
+	// Phase 1: generate the program images in parallel, deduplicated by
+	// benchmark (generation is independent of Options); the cache memoizes
+	// them and singleflights concurrent demand. Phase 2 simulates: workers
+	// read only these immutable images. done marks slots whose simulation
+	// ran to completion; under cancellation the others are never merged.
 	genSeen := map[string]bool{}
 	var gen []workload.Benchmark
 	for _, j := range pending {
@@ -249,40 +228,20 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 			continue
 		}
 		genSeen[j.Bench.Name] = true
-		if h.Cache == nil {
-			if _, ok := h.progs[j.Bench.Name]; !ok {
-				gen = append(gen, j.Bench)
-			}
-		} else {
-			gen = append(gen, j.Bench)
-		}
+		gen = append(gen, j.Bench)
 	}
 	if len(gen) > 0 {
-		ps := make([]*program.Program, len(gen))
 		if err := ForEachCtx(ctx, h.Workers(), len(gen), func(i int) {
-			ps[i] = h.programImage(gen[i])
+			h.Cache.Program(gen[i])
 		}); err != nil {
 			return err
 		}
-		if h.Cache == nil {
-			for i, b := range gen {
-				h.progs[b.Name] = ps[i]
-			}
-		}
-	}
-
-	// Phase 2: simulate. Snapshot the program pointers before spawning so
-	// workers never touch the shared map. done marks slots whose simulation
-	// ran to completion; under cancellation the others are never merged.
-	progs := make([]*program.Program, len(pending))
-	for i, j := range pending {
-		progs[i] = h.programFor(j.Bench)
 	}
 	recs := make([]ActivityRecord, len(pending))
 	errs := make([]error, len(pending))
 	done := make([]bool, len(pending))
 	ferr := ForEachCtx(ctx, h.Workers(), len(pending), func(i int) {
-		recs[i], errs[i] = h.doActivity(ctx, pending[i].Bench, pending[i].Opt, progs[i])
+		recs[i], errs[i] = h.doActivity(ctx, pending[i].Bench, pending[i].Opt)
 		done[i] = true
 	})
 	for i, j := range pending {
@@ -320,15 +279,6 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 		}
 	}
 	return nil
-}
-
-// programImage resolves a program through the shared cache when one is set,
-// through plain generation otherwise (the caller memoizes).
-func (h *Harness) programImage(b workload.Benchmark) *program.Program {
-	if h.Cache != nil {
-		return h.Cache.Program(b)
-	}
-	return b.Program()
 }
 
 // ForEach calls fn(i) for each i in [0,n) on up to workers goroutines and
@@ -424,7 +374,7 @@ func (h *Harness) Simulate(b workload.Benchmark, opt cpu.Options) Run {
 	rec, ok := h.acts[ek]
 	if !ok {
 		var err error
-		rec, err = h.doActivity(h.ctx(), b, execOpt, h.programFor(b))
+		rec, err = h.doActivity(h.ctx(), b, execOpt)
 		if err != nil {
 			h.noteErr(err)
 			return Run{}
@@ -443,35 +393,48 @@ func (h *Harness) Simulate(b workload.Benchmark, opt cpu.Options) Run {
 	return r
 }
 
-// simulateCtx runs one simulation to completion. It is a pure function of
-// its arguments (p is immutable during simulation), which is what makes the
-// Prefetch worker pool safe. The context is consulted only at phase
-// boundaries — before the warm-up and between warm-up and measurement — so a
-// run that finishes is bit-identical to one executed with no context at all.
-func simulateCtx(ctx context.Context, p *program.Program, b workload.Benchmark, opt cpu.Options, rc RunConfig) (Run, power.Activity, error) {
-	if err := ctx.Err(); err != nil {
-		return Run{}, power.Activity{}, err
-	}
+// chunkInsts bounds how many instructions a simulation runs between two
+// context checks: a canceled run stops within one chunk, about 0.1 s at
+// 300–400 ns per instruction, instead of one whole phase.
+const chunkInsts = 250_000
+
+// simulate runs one simulation of b under opt to completion on one Sim:
+// rc.WarmupInsts of warm-up, a measurement reset, then rc.MeasureInsts
+// measured, each phase advanced with RunTo in chunks of at most chunk
+// instructions (the harness passes chunkInsts; tests pass smaller ones).
+// The context is checked before every chunk. Stopping at a chunk boundary
+// never mutates machine state, so a run that finishes is bit-identical at
+// any chunk length. It is a pure function of its arguments (p is immutable
+// during simulation), which is what makes the Prefetch worker pool safe.
+func simulate(ctx context.Context, p *program.Program, b workload.Benchmark, opt cpu.Options, rc RunConfig, chunk uint64) (ActivityRecord, error) {
 	sim := cpu.MustNew(p, opt)
 	defer sim.Release()
-	sim.Run(rc.WarmupInsts)
-	if st := sim.Stats(); st.CycleLimitHit {
-		return Run{}, power.Activity{}, fmt.Errorf("experiments: %s on %s: warm-up hit the cycle safety limit after %d of %d instructions", b.Name, machineLabel(opt), st.Committed, rc.WarmupInsts)
+	// advance runs n more instructions; a cycle-limit hit in any chunk
+	// fails the phase.
+	advance := func(phase string, n uint64) error {
+		target := sim.Stats().Committed + n
+		for done := sim.Stats().Committed; done < target; done = sim.Stats().Committed {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			sim.RunTo(min(target, done+chunk))
+			if st := sim.Stats(); st.CycleLimitHit {
+				return fmt.Errorf("experiments: %s on %s: %s hit the cycle safety limit after %d of %d instructions", b.Name, machineLabel(opt), phase, st.Committed, n)
+			}
+		}
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return Run{}, power.Activity{}, err
+	if err := advance("warm-up", rc.WarmupInsts); err != nil {
+		return ActivityRecord{}, err
 	}
 	sim.ResetMeasurement()
-	sim.Run(rc.MeasureInsts)
-
-	if st := sim.Stats(); st.CycleLimitHit {
-		return Run{}, power.Activity{}, fmt.Errorf("experiments: %s on %s: measurement hit the cycle safety limit after %d of %d instructions", b.Name, machineLabel(opt), st.Committed, rc.MeasureInsts)
+	if err := advance("measurement", rc.MeasureInsts); err != nil {
+		return ActivityRecord{}, err
 	}
-	return runRecord(b, opt, sim), sim.Meter().Activity(), nil
+	return ActivityRecord{Run: runRecord(b, opt, sim), Activity: sim.Meter().Activity()}, nil
 }
 
-// runRecord reads one finished simulation into a Run. Shared by the
-// monolithic and segmented paths so the two can never drift apart.
+// runRecord reads one finished simulation into a Run.
 func runRecord(b workload.Benchmark, opt cpu.Options, sim *cpu.Sim) Run {
 	st := sim.Stats()
 	m := sim.Meter()

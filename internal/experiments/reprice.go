@@ -6,7 +6,6 @@ import (
 
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/power"
-	"bpredpower/internal/program"
 	"bpredpower/internal/workload"
 )
 
@@ -179,29 +178,14 @@ func (h *Harness) RepriceStats() RepriceStats {
 	return RepriceStats{Simulations: h.actSims.Load(), Folds: h.actFolds.Load()}
 }
 
-// simulateActivityCtx is the activity-producing simulation: one full run of
-// the execution key under the base pricing key, returning both the priced
-// Run and the raw counters every other pricing key folds from.
-func simulateActivityCtx(ctx context.Context, p *program.Program, b workload.Benchmark, execOpt cpu.Options, rc RunConfig, segments int) (ActivityRecord, error) {
-	r, act, err := simulateSegmentedCtx(ctx, p, b, execOpt, rc, segments)
-	if err != nil {
-		return ActivityRecord{}, err
-	}
-	return ActivityRecord{Run: r, Activity: act}, nil
-}
-
-// doActivity resolves the activity record of an execution key: through the
-// shared cache (singleflight + persistent store) when one is set, by direct
-// simulation otherwise. The harness-local memo (h.acts) is the caller's job.
-func (h *Harness) doActivity(ctx context.Context, b workload.Benchmark, execOpt cpu.Options, p *program.Program) (ActivityRecord, error) {
-	compute := func(cctx context.Context) (ActivityRecord, error) {
+// doActivity resolves the activity record of an execution key through the
+// harness cache (singleflight + persistent store); a miss runs one full
+// base simulation. The harness-local memo (h.acts) is the caller's job.
+func (h *Harness) doActivity(ctx context.Context, b workload.Benchmark, execOpt cpu.Options) (ActivityRecord, error) {
+	return h.Cache.DoActivity(ctx, b.Name, execOpt, h.RC, func(cctx context.Context) (ActivityRecord, error) {
 		h.actSims.Add(1)
-		return simulateActivityCtx(cctx, p, b, execOpt, h.RC, h.Segments)
-	}
-	if h.Cache != nil {
-		return h.Cache.DoActivity(ctx, b.Name, execOpt, h.RC, compute)
-	}
-	return compute(ctx)
+		return simulate(cctx, h.Cache.Program(b), b, execOpt, h.RC, chunkInsts)
+	})
 }
 
 // fold produces and memoizes the Run for a pricing variant of an execution
@@ -212,9 +196,7 @@ func (h *Harness) fold(key runKey, rec ActivityRecord, opt cpu.Options) (Run, er
 		return Run{}, err
 	}
 	h.actFolds.Add(1)
-	if h.Cache != nil {
-		h.Cache.noteFolds(1)
-	}
+	h.Cache.noteFolds(1)
 	h.runs[key] = r
 	return r, nil
 }

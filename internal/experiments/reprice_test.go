@@ -87,7 +87,7 @@ func TestRepriceMatchesFullSimulation(t *testing.T) {
 		if err := repriced.Err(); err != nil {
 			t.Fatal(err)
 		}
-		want := directRun(t, repriced.programFor(bench), bench, opt, rc)
+		want := directRun(t, repriced.Cache.Program(bench), bench, opt, rc)
 		if diffs := runDiff(got, want); len(diffs) > 0 {
 			t.Fatalf("pricing key %+v: repriced run differs from simulation: %v", pk, diffs)
 		}

@@ -20,7 +20,7 @@ const maxFinishedJobs = 128
 // The job also owns its cancellation: the runner's context is canceled when
 // the watcher count drops to zero before the trailer is set (every client
 // went away → stop simulating; ForEachCtx claims no new grid points, and
-// segmented runs observe the cancellation within one segment).
+// running simulations observe the cancellation within one chunk).
 type sweepJob struct {
 	id     string
 	header []byte

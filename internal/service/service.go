@@ -41,12 +41,6 @@ type Config struct {
 	// request (0 = 2 minutes). A request may tighten it with timeout_ms but
 	// never loosen it.
 	RequestTimeout time.Duration
-	// SegmentInsts bounds how many instructions a simulation runs between
-	// cancellation checks: long runs are split into checkpoint-stitched
-	// segments of roughly this length (0 = experiments.DefaultSegmentInsts),
-	// so an abandoned request frees its worker within one segment instead of
-	// one run. Results are byte-identical at any value.
-	SegmentInsts uint64
 	// Store, when non-nil, layers a persistent on-disk result store under
 	// the run cache: completed simulations are written through, and
 	// restarts or replicas sharing the directory answer from it instead of
@@ -137,13 +131,12 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // harness builds the per-request harness: private memo maps (figure
-// functions expect single-goroutine semantics) backed by the shared cache
-// and bound to the request context.
+// functions expect single-goroutine semantics) backed by the server's shared
+// cache in place of its own, and bound to the request context.
 func (s *Server) harness(ctx context.Context, rc experiments.RunConfig) *experiments.Harness {
 	h := experiments.NewHarness(rc)
 	h.Parallel = s.cfg.Parallel
 	h.Ctx = ctx
 	h.Cache = s.Cache
-	h.Segments = experiments.SegmentsFor(rc, s.cfg.SegmentInsts)
 	return h
 }

@@ -33,7 +33,7 @@ const (
 // gating style, then benchmark — and the
 // response streams one NDJSON line per grid point in exactly that order,
 // followed by a summary line, so response bodies are byte-identical at any
-// worker count, segment count, replica count, or store state.
+// worker count, replica count, or store state.
 type SweepRequest struct {
 	// Predictors names registered configurations (GET /v1/predictors).
 	Predictors []string `json:"predictors"`

@@ -109,33 +109,30 @@ func TestSweepHappyPath(t *testing.T) {
 }
 
 // TestSweepDeterminismMatrix is the tentpole property test: the same sweep
-// request must yield byte-identical bodies at any worker count, segment
-// length, and store state — cold, warm (restart over a populated directory),
-// and shared across two server replicas.
+// request must yield byte-identical bodies at any worker count and store
+// state — cold, warm (restart over a populated directory), and shared across
+// two server replicas.
 func TestSweepDeterminismMatrix(t *testing.T) {
 	body := `{"predictors":["Bim_4k","Gsh_1_16k_12"],"workload":"Subset7","banked":[false,true],"warmup_insts":2000,"measure_insts":4000}`
 
 	type variant struct {
 		name     string
 		parallel int
-		segments uint64
 		dir      string // store directory ("" = memory-only)
 	}
 	sharedDir := t.TempDir()
 	variants := []variant{
-		{"serial-no-store", 1, 0, ""},
-		{"parallel-no-store", 4, 0, ""},
-		{"serial-cold-store", 1, 0, t.TempDir()},
-		{"parallel-cold-store", 4, 0, sharedDir},
-		{"parallel-warm-store", 4, 0, sharedDir}, // restart-resume: answers from disk
-		{"segmented", 4, 1000, ""},
+		{"serial-no-store", 1, ""},
+		{"parallel-no-store", 4, ""},
+		{"serial-cold-store", 1, t.TempDir()},
+		{"parallel-cold-store", 4, sharedDir},
+		{"parallel-warm-store", 4, sharedDir}, // restart-resume: answers from disk
 	}
 
 	var baseline []byte
 	for _, v := range variants {
 		cfg := testConfig()
 		cfg.Parallel = v.parallel
-		cfg.SegmentInsts = v.segments
 		if v.dir != "" {
 			store, err := resultstore.Open(v.dir, resultstore.Config{})
 			if err != nil {

@@ -97,12 +97,6 @@ go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -parallel 4 > "$tmp
 diff "$tmp/serial.txt" "$tmp/parallel.txt"
 echo "parallel smoke: output identical at -parallel 1 and -parallel 4"
 
-# Segmentation smoke: checkpoint-stitched runs must be byte-identical to
-# monolithic ones (DESIGN.md §9f) — uneven boundaries and workers included.
-go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -parallel 2 -segments 3 > "$tmp/segmented.txt"
-diff "$tmp/serial.txt" "$tmp/segmented.txt"
-echo "segmentation smoke: output identical monolithic vs -segments 3"
-
 # Extension-family smoke: the modern-predictor sweep (TAGE + perceptron,
 # Figure 22) must run end to end at quick fidelity, and the frontend must
 # produce array organizations for the tagged and weight table kinds.
@@ -250,4 +244,4 @@ echo "load smoke: bpload -smoke completed with zero errors"
 # committed baseline; fail on >15% ns/op regressions or new allocations.
 # It runs last so that a noisy host cannot hide the byte-identity, service
 # and replica gates above.
-go run ./cmd/bpbench -o "$tmp/bench.json" -compare BENCH_results.json -threshold 0.15
+go run ./cmd/bpbench -o "$tmp/bench.json" -compare BENCH_results.json

@@ -1,9 +1,9 @@
 // Command bpbench records the simulator's kernel costs: it runs the core
-// throughput, per-cycle step, power-fold, predictor, commit-scan,
-// checkpoint and reprice microbenchmarks and writes the numbers to
-// BENCH_results.json so later changes can be diffed against them. Figure
-// wall times are the repository benchmark's job (benchmark/, the
-// paper_figures workload and its cpu.ns_per_inst layer), not bpbench's.
+// throughput, per-cycle step, power-fold, predictor, commit-scan and
+// reprice microbenchmarks and writes the numbers to BENCH_results.json so
+// later changes can be diffed against them. Figure wall times are the
+// repository benchmark's job (benchmark/, the paper_figures workload and its
+// cpu.ns_per_inst layer), not bpbench's.
 //
 // Usage:
 //
@@ -12,9 +12,6 @@
 //	                             # fail (exit 1) if a microbenchmark regressed
 //	                             # more than 15% vs the old file
 //	bpbench -cpuprofile cpu.out -memprofile mem.out
-//
-// -compare gates every entry except checkpoint/restore, which is
-// allocation-bound and only recorded.
 package main
 
 import (
@@ -59,9 +56,6 @@ type report struct {
 	// SoACommitScan is the branch-free done-bitmap scan that bounds every
 	// commit cycle, measured in isolation on a warm pipeline.
 	SoACommitScan result `json:"soa_commit_scan"`
-	// CheckpointRestore is one full Checkpoint plus Restore of a warm
-	// simulator — the cost of handing warmed state to another Sim.
-	CheckpointRestore result `json:"checkpoint_restore"`
 	// RepriceFold is one pricing-key fold: rebuilding the unit set for a
 	// power configuration and repricing a cached activity vector through it.
 	// This bounds the per-variant cost of activity/price decoupling — it
@@ -211,21 +205,6 @@ func main() {
 	fmt.Printf("soa_commit_scan   %8.2f ns/op    %d allocs/op\n",
 		rep.SoACommitScan.NsPerOp, rep.SoACommitScan.AllocsPerOp)
 
-	rep.CheckpointRestore = measureBest(func(b *testing.B) {
-		src := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
-		src.Run(20000) // warm: checkpoint a machine with real in-flight state
-		dst := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
-		defer src.Release()
-		defer dst.Release()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst.Restore(src.Checkpoint())
-		}
-	})
-	fmt.Printf("checkpoint        %8.2f ns/op    %d allocs/op\n",
-		rep.CheckpointRestore.NsPerOp, rep.CheckpointRestore.AllocsPerOp)
-
 	rep.RepriceFold = measureBest(func(b *testing.B) {
 		sim := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
 		sim.Run(6000)
@@ -325,8 +304,6 @@ func compareReports(oldPath string, newRep report) bool {
 	if oldRep.SoACommitScan.Iterations > 0 {
 		entries = append(entries, entry{"soa_commit_scan", oldRep.SoACommitScan, newRep.SoACommitScan})
 	}
-	// CheckpointRestore is allocation-bound (deep state copies) and swings
-	// with heap layout, so it is recorded but not gated.
 	if oldRep.RepriceFold.Iterations > 0 {
 		entries = append(entries, entry{"reprice_fold", oldRep.RepriceFold, newRep.RepriceFold})
 	}

@@ -123,24 +123,4 @@ func (a *Alloyed) Reset() {
 	a.ghist = 0
 }
 
-// CaptureState implements the Checkpointer capability.
-func (a *Alloyed) CaptureState() State {
-	return State{snap: &tableSnap{
-		ctrs: [][]uint8{cloneCtr(a.pht.ctr)},
-		bhts: [][]uint32{cloneBHT(a.bht)},
-		regs: []uint64{a.ghist},
-	}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (a *Alloyed) RestoreState(s State) {
-	ts := s.tables()
-	ts.restoreCtr(a.pht.ctr, 0)
-	ts.restoreBHT(a.bht, 0)
-	a.ghist = ts.regs[0]
-}
-
-var (
-	_ Predictor    = (*Alloyed)(nil)
-	_ Checkpointer = (*Alloyed)(nil)
-)
+var _ Predictor = (*Alloyed)(nil)

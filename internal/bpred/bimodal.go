@@ -60,15 +60,4 @@ func (b *Bimodal) TotalBits() int { return b.pht.entries() * 2 }
 // Reset restores power-on state.
 func (b *Bimodal) Reset() { b.pht.reset() }
 
-// CaptureState implements the Checkpointer capability.
-func (b *Bimodal) CaptureState() State {
-	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(b.pht.ctr)}}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (b *Bimodal) RestoreState(s State) { s.tables().restoreCtr(b.pht.ctr, 0) }
-
-var (
-	_ Predictor    = (*Bimodal)(nil)
-	_ Checkpointer = (*Bimodal)(nil)
-)
+var _ Predictor = (*Bimodal)(nil)

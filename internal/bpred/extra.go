@@ -56,13 +56,6 @@ func (s *Static) TotalBits() int { return 0 }
 // Reset is a no-op.
 func (s *Static) Reset() {}
 
-// CaptureState implements the Checkpointer capability: static predictors
-// have no mutable state, so the snapshot is empty.
-func (s *Static) CaptureState() State { return State{snap: &tableSnap{}} }
-
-// RestoreState implements the Checkpointer capability (a no-op).
-func (s *Static) RestoreState(State) {}
-
 // NewGAg builds the degenerate global two-level predictor: the PHT is
 // indexed purely by global history (no address bits), so every branch with
 // the same recent history shares an entry. entries must equal 1<<histBits.
@@ -131,18 +124,6 @@ func (g *Gselect) TotalBits() int { return g.pht.entries() * 2 }
 func (g *Gselect) Reset() {
 	g.pht.reset()
 	g.ghist = 0
-}
-
-// CaptureState implements the Checkpointer capability.
-func (g *Gselect) CaptureState() State {
-	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(g.pht.ctr)}, regs: []uint64{g.ghist}}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (g *Gselect) RestoreState(s State) {
-	ts := s.tables()
-	ts.restoreCtr(g.pht.ctr, 0)
-	g.ghist = ts.regs[0]
 }
 
 // PAg is the degenerate per-address two-level predictor: per-branch history
@@ -220,24 +201,9 @@ func (p *PAg) Reset() {
 	p.pht.reset()
 }
 
-// CaptureState implements the Checkpointer capability.
-func (p *PAg) CaptureState() State {
-	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(p.pht.ctr)}, bhts: [][]uint32{cloneBHT(p.bht)}}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (p *PAg) RestoreState(s State) {
-	ts := s.tables()
-	ts.restoreCtr(p.pht.ctr, 0)
-	ts.restoreBHT(p.bht, 0)
-}
-
-// Compile-time capability checks for the extension predictors.
+// Compile-time interface checks for the extension predictors.
 var (
-	_ Predictor    = (*Static)(nil)
-	_ Predictor    = (*Gselect)(nil)
-	_ Predictor    = (*PAg)(nil)
-	_ Checkpointer = (*Static)(nil)
-	_ Checkpointer = (*Gselect)(nil)
-	_ Checkpointer = (*PAg)(nil)
+	_ Predictor = (*Static)(nil)
+	_ Predictor = (*Gselect)(nil)
+	_ Predictor = (*PAg)(nil)
 )

@@ -218,30 +218,7 @@ func (h *Hybrid) TotalBits() int {
 	return total
 }
 
-// CaptureState implements the Checkpointer capability.
-func (h *Hybrid) CaptureState() State {
-	return State{snap: &tableSnap{
-		ctrs: [][]uint8{cloneCtr(h.sel.ctr), cloneCtr(h.gpht.ctr), cloneCtr(h.lpht.ctr), cloneCtr(h.bim.ctr)},
-		bhts: [][]uint32{cloneBHT(h.lbht)},
-		regs: []uint64{h.ghist},
-	}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (h *Hybrid) RestoreState(s State) {
-	ts := s.tables()
-	ts.restoreCtr(h.sel.ctr, 0)
-	ts.restoreCtr(h.gpht.ctr, 1)
-	ts.restoreCtr(h.lpht.ctr, 2)
-	ts.restoreCtr(h.bim.ctr, 3)
-	ts.restoreBHT(h.lbht, 0)
-	h.ghist = ts.regs[0]
-}
-
-var (
-	_ Predictor    = (*Hybrid)(nil)
-	_ Checkpointer = (*Hybrid)(nil)
-)
+var _ Predictor = (*Hybrid)(nil)
 
 // Reset restores power-on state.
 func (h *Hybrid) Reset() {

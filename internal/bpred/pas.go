@@ -106,19 +106,4 @@ func (p *PAs) Reset() {
 	p.pht.reset()
 }
 
-// CaptureState implements the Checkpointer capability.
-func (p *PAs) CaptureState() State {
-	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(p.pht.ctr)}, bhts: [][]uint32{cloneBHT(p.bht)}}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (p *PAs) RestoreState(s State) {
-	ts := s.tables()
-	ts.restoreCtr(p.pht.ctr, 0)
-	ts.restoreBHT(p.bht, 0)
-}
-
-var (
-	_ Predictor    = (*PAs)(nil)
-	_ Checkpointer = (*PAs)(nil)
-)
+var _ Predictor = (*PAs)(nil)

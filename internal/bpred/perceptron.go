@@ -169,37 +169,4 @@ func (p *Perceptron) Reset() {
 	p.ghist = 0
 }
 
-// CaptureState implements the Checkpointer capability with a
-// perceptron-shaped snapshot: the signed weight matrix and the history.
-func (p *Perceptron) CaptureState() State {
-	return State{snap: &perceptronSnap{
-		w:     append([]int8(nil), p.w...),
-		ghist: p.ghist,
-	}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (p *Perceptron) RestoreState(s State) {
-	snap, ok := s.snap.(*perceptronSnap)
-	if !ok {
-		panic(fmt.Sprintf("bpred: state payload %T is not a perceptron snapshot", s.snap))
-	}
-	if len(snap.w) != len(p.w) {
-		panic("bpred: perceptron state size mismatch")
-	}
-	copy(p.w, snap.w)
-	p.ghist = snap.ghist
-}
-
-// perceptronSnap is the perceptron checkpoint payload.
-type perceptronSnap struct {
-	w     []int8
-	ghist uint64
-}
-
-func (*perceptronSnap) isSnapshot() {}
-
-var (
-	_ Predictor    = (*Perceptron)(nil)
-	_ Checkpointer = (*Perceptron)(nil)
-)
+var _ Predictor = (*Perceptron)(nil)

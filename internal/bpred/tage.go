@@ -14,7 +14,7 @@ import (
 // table (the alternate). It is the modern-accuracy stress case for the
 // paper's headline claim: far past the ~95% of 2002-era tables, with a
 // genuinely different state machine (tagged match, allocation, aging) riding
-// the same hot-path and checkpoint contracts.
+// the same hot-path and speculative-repair contracts.
 //
 // Implementation notes for the simulator's contracts:
 //
@@ -23,7 +23,7 @@ import (
 //     are recomputed from (pc, history) at each access rather than kept in
 //     folded registers that would need speculative repair.
 //   - Allocation uses an internal xorshift generator (seeded at reset), so
-//     runs are bit-reproducible and the state checkpoints exactly.
+//     runs are bit-reproducible.
 //   - Lookup/Update are allocation-free and branch over slices only.
 type TAGE struct {
 	name string
@@ -380,46 +380,4 @@ func (t *TAGE) Reset() {
 	t.tick = 0
 }
 
-// CaptureState implements the Checkpointer capability with a TAGE-shaped
-// snapshot: packed tagged tables, base counters, history, allocator state.
-func (t *TAGE) CaptureState() State {
-	return State{snap: &tageSnap{
-		base:  cloneCtr(t.base.ctr),
-		tab:   append([]uint32(nil), t.tab...),
-		ghist: t.ghist,
-		rng:   t.rng,
-		tick:  t.tick,
-	}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (t *TAGE) RestoreState(s State) {
-	snap, ok := s.snap.(*tageSnap)
-	if !ok {
-		panic(fmt.Sprintf("bpred: state payload %T is not a TAGE snapshot", s.snap))
-	}
-	if len(snap.base) != len(t.base.ctr) || len(snap.tab) != len(t.tab) {
-		panic("bpred: TAGE state size mismatch")
-	}
-	copy(t.base.ctr, snap.base)
-	copy(t.tab, snap.tab)
-	t.ghist = snap.ghist
-	t.rng = snap.rng
-	t.tick = snap.tick
-}
-
-// tageSnap is the TAGE checkpoint payload.
-type tageSnap struct {
-	base  []uint8
-	tab   []uint32
-	ghist uint64
-	rng   uint64
-	tick  uint32
-}
-
-func (*tageSnap) isSnapshot() {}
-
-var (
-	_ Predictor    = (*TAGE)(nil)
-	_ Checkpointer = (*TAGE)(nil)
-)
+var _ Predictor = (*TAGE)(nil)

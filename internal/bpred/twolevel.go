@@ -98,19 +98,4 @@ func (t *TwoLevelGlobal) Reset() {
 	t.ghist = 0
 }
 
-// CaptureState implements the Checkpointer capability.
-func (t *TwoLevelGlobal) CaptureState() State {
-	return State{snap: &tableSnap{ctrs: [][]uint8{cloneCtr(t.pht.ctr)}, regs: []uint64{t.ghist}}}
-}
-
-// RestoreState implements the Checkpointer capability.
-func (t *TwoLevelGlobal) RestoreState(s State) {
-	ts := s.tables()
-	ts.restoreCtr(t.pht.ctr, 0)
-	t.ghist = ts.regs[0]
-}
-
-var (
-	_ Predictor    = (*TwoLevelGlobal)(nil)
-	_ Checkpointer = (*TwoLevelGlobal)(nil)
-)
+var _ Predictor = (*TwoLevelGlobal)(nil)

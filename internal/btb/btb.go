@@ -145,37 +145,6 @@ func (b *BTB) Reset() {
 	b.lookups, b.hits, b.misses, b.updates = 0, 0, 0, 0
 }
 
-// State is a deep copy of a BTB's mutable contents (entries, LRU clock,
-// statistics), consumed only by SetState.
-type State struct {
-	entries                        []entry
-	clock                          uint64
-	lookups, hits, misses, updates uint64
-}
-
-// State captures the BTB's mutable state.
-func (b *BTB) State() State {
-	return State{
-		entries: append([]entry(nil), b.entries...),
-		clock:   b.clock,
-		lookups: b.lookups,
-		hits:    b.hits,
-		misses:  b.misses,
-		updates: b.updates,
-	}
-}
-
-// SetState restores state previously captured from a BTB with the same
-// geometry.
-func (b *BTB) SetState(s State) {
-	if len(s.entries) != len(b.entries) {
-		panic(fmt.Sprintf("btb: state has %d entries, BTB has %d", len(s.entries), len(b.entries)))
-	}
-	copy(b.entries, s.entries)
-	b.clock = s.clock
-	b.lookups, b.hits, b.misses, b.updates = s.lookups, s.hits, s.misses, s.updates
-}
-
 //bp:hotpath
 func log2(n int) uint {
 	var l uint

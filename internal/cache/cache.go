@@ -291,40 +291,6 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// State is a deep copy of a cache's mutable contents (tags, LRU, dirty bits,
-// statistics) — everything Restore needs to resume a simulation mid-run.
-// It is opaque: only SetState consumes it.
-type State struct {
-	lines    []line
-	clock    uint64
-	stats    Stats
-	lastLine int
-}
-
-// State captures the cache's mutable state. OnRefill is deliberately not
-// captured: it is configuration (a closure bound to the owning simulator),
-// not simulation state.
-func (c *Cache) State() State {
-	return State{
-		lines:    append([]line(nil), c.lines...),
-		clock:    c.clock,
-		stats:    c.stats,
-		lastLine: c.lastLine,
-	}
-}
-
-// SetState restores state previously captured from a cache with the same
-// geometry.
-func (c *Cache) SetState(s State) {
-	if len(s.lines) != len(c.lines) {
-		panic(fmt.Sprintf("cache %s: state has %d lines, cache has %d", c.cfg.Name, len(s.lines), len(c.lines)))
-	}
-	copy(c.lines, s.lines)
-	c.clock = s.clock
-	c.stats = s.stats
-	c.lastLine = s.lastLine
-}
-
 // TLB is a fully-associative translation lookaside buffer with LRU
 // replacement and a fixed miss penalty.
 type TLB struct {
@@ -409,33 +375,4 @@ func (t *TLB) Reset() {
 	t.clock = 0
 	t.stats = Stats{}
 	t.mru = 0
-}
-
-// TLBState is a deep copy of a TLB's mutable contents; see Cache.State.
-type TLBState struct {
-	entries []line
-	clock   uint64
-	stats   Stats
-	mru     int
-}
-
-// State captures the TLB's mutable state.
-func (t *TLB) State() TLBState {
-	return TLBState{
-		entries: append([]line(nil), t.entries...),
-		clock:   t.clock,
-		stats:   t.stats,
-		mru:     t.mru,
-	}
-}
-
-// SetState restores state previously captured from a TLB of the same size.
-func (t *TLB) SetState(s TLBState) {
-	if len(s.entries) != len(t.entries) {
-		panic(fmt.Sprintf("cache: TLB state has %d entries, TLB has %d", len(s.entries), len(t.entries)))
-	}
-	copy(t.entries, s.entries)
-	t.clock = s.clock
-	t.stats = s.stats
-	t.mru = s.mru
 }

@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // figure of experiments_output.txt, so without this golden a change to how
 // the simulator reaches the predictor could alter them unseen. A diff here
 // means simulated behaviour changed; pass -update only when that is the
-// intent.
+// intent. Each run must also conserve ROB entries (see the check below).
 func TestAllConfigsGolden(t *testing.T) {
 	const window = 50000
 	prog := testProgram(11)
@@ -30,6 +30,12 @@ func TestAllConfigsGolden(t *testing.T) {
 	for _, spec := range bpred.AllConfigs() {
 		s := MustNew(prog, Options{Predictor: spec})
 		s.Run(window)
+		// ROB conservation: every dispatched entry has committed, been
+		// squashed, or is still in flight.
+		if st := s.Stats(); st.Dispatched != st.Committed+st.Squashed+uint64(s.robCount()) {
+			t.Errorf("%s: Dispatched %d != Committed %d + Squashed %d + in flight %d",
+				spec.Name, st.Dispatched, st.Committed, st.Squashed, s.robCount())
+		}
 		act, err := json.Marshal(s.Meter().Activity())
 		if err != nil {
 			t.Fatal(err)

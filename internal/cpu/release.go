@@ -55,8 +55,7 @@ func (e *entryStore) clearAll() {
 // batch of simulations then cycles a handful of allocations instead of
 // allocating megabytes per run.
 //
-// The Sim must not be used afterwards. Checkpoints taken earlier remain
-// valid: they share no storage with the Sim.
+// The Sim must not be used afterwards.
 func (s *Sim) Release() {
 	freeEntryStore(&s.rob)
 	freeEntryStore(&s.fq)

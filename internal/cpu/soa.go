@@ -118,22 +118,3 @@ func (e *entryStore) moveFrom(dst int, from *entryStore, src int) {
 		e.rasSnap[dst] = from.rasSnap[src]
 	}
 }
-
-// copyAllFrom deep-copies every lane of src (same size) into e; used by
-// checkpoint capture and restore.
-func (e *entryStore) copyAllFrom(src *entryStore) {
-	copy(e.si, src.si)
-	copy(e.op, src.op)
-	copy(e.readyAt, src.readyAt)
-	copy(e.doneAt, src.doneAt)
-	copy(e.predNext, src.predNext)
-	copy(e.actualNext, src.actualNext)
-	copy(e.memAddr, src.memAddr)
-	copy(e.dep1, src.dep1)
-	copy(e.dep2, src.dep2)
-	copy(e.prevProd, src.prevProd)
-	copy(e.pred, src.pred)
-	copy(e.rasSnap, src.rasSnap)
-	copy(e.flags, src.flags)
-	copy(e.state, src.state)
-}

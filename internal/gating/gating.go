@@ -117,38 +117,3 @@ func (g *Gate) Reset() {
 		g.jrs.Reset()
 	}
 }
-
-// State is a deep copy of the gate's mutable state (in-flight count,
-// statistics, and the JRS counter table when one exists).
-type State struct {
-	inFlight                    int
-	lowConfFetched, gatedCycles uint64
-	jrsCounters                 []uint8
-}
-
-// State captures the gate's mutable state.
-func (g *Gate) State() State {
-	s := State{
-		inFlight:       g.inFlight,
-		lowConfFetched: g.lowConfFetched,
-		gatedCycles:    g.gatedCycles,
-	}
-	if g.jrs != nil {
-		s.jrsCounters = append([]uint8(nil), g.jrs.counters...)
-	}
-	return s
-}
-
-// SetState restores state previously captured from a gate with the same
-// configuration.
-func (g *Gate) SetState(s State) {
-	g.inFlight = s.inFlight
-	g.lowConfFetched = s.lowConfFetched
-	g.gatedCycles = s.gatedCycles
-	if g.jrs != nil {
-		if len(s.jrsCounters) != len(g.jrs.counters) {
-			panic("gating: JRS state size mismatch")
-		}
-		copy(g.jrs.counters, s.jrsCounters)
-	}
-}

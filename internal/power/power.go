@@ -467,61 +467,6 @@ func (m *Meter) Reset() {
 	m.cycles = 0
 }
 
-// unitState is one unit's accounting integers inside a MeterState.
-type unitState struct {
-	lastActive   uint64
-	activeCycles uint64
-	reads        uint64
-	writes       uint64
-	partials     uint64
-}
-
-// MeterState is a deep copy of the meter's lifetime accounting: every unit's
-// activity counters and the meter clock. Because energy is a pure closed-form
-// fold of these integers, restoring a MeterState reproduces every energy
-// reading bit-for-bit.
-type MeterState struct {
-	units  []unitState
-	cycles uint64
-}
-
-// State captures the meter's accounting state. Units are recorded in
-// registration order, which is identical across meters built by the same
-// construction sequence.
-func (m *Meter) State() MeterState {
-	s := MeterState{
-		units:  make([]unitState, len(m.units)),
-		cycles: m.cycles,
-	}
-	for i, u := range m.units {
-		s.units[i] = unitState{
-			lastActive:   u.lastActive,
-			activeCycles: u.activeCycles,
-			reads:        u.totalReads,
-			writes:       u.totalWrites,
-			partials:     u.totalPartials,
-		}
-	}
-	return s
-}
-
-// SetState restores accounting previously captured from a meter with the
-// same registered units.
-func (m *Meter) SetState(s MeterState) {
-	if len(s.units) != len(m.units) {
-		panic(fmt.Sprintf("power: state has %d units, meter has %d", len(s.units), len(m.units)))
-	}
-	for i, u := range m.units {
-		us := s.units[i]
-		u.lastActive = us.lastActive
-		u.activeCycles = us.activeCycles
-		u.totalReads = us.reads
-		u.totalWrites = us.writes
-		u.totalPartials = us.partials
-	}
-	m.cycles = s.cycles
-}
-
 // Breakdown returns per-group energies in joules, keyed by group name, with
 // "clock" included. Callers that print or accumulate order-sensitively must
 // use BreakdownSorted instead: map iteration order is randomized.

@@ -126,31 +126,3 @@ func (p *PPD) Reset() {
 	}
 	p.probes, p.dirAvoided, p.btbAvoided = 0, 0, 0
 }
-
-// State is a deep copy of the PPD's table contents and statistics.
-type State struct {
-	bits                           []uint8
-	valid                          []bool
-	probes, dirAvoided, btbAvoided uint64
-}
-
-// State captures the PPD's mutable state.
-func (p *PPD) State() State {
-	return State{
-		bits:       append([]uint8(nil), p.bits...),
-		valid:      append([]bool(nil), p.valid...),
-		probes:     p.probes,
-		dirAvoided: p.dirAvoided,
-		btbAvoided: p.btbAvoided,
-	}
-}
-
-// SetState restores state previously captured from a PPD of the same size.
-func (p *PPD) SetState(s State) {
-	if len(s.bits) != len(p.bits) {
-		panic("ppd: state size mismatch")
-	}
-	copy(p.bits, s.bits)
-	copy(p.valid, s.valid)
-	p.probes, p.dirAvoided, p.btbAvoided = s.probes, s.dirAvoided, s.btbAvoided
-}

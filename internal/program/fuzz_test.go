@@ -11,21 +11,12 @@ import (
 // and any image that decodes — hence validates — re-encodes canonically:
 // encode(decode(data)) must itself decode and re-encode byte-identically.
 func FuzzProgramDecode(f *testing.F) {
-	// Seeds: two small generated (and therefore valid) images plus mangled
+	// Seeds: two tiny generated (and therefore valid) images plus mangled
 	// variants — truncation mid-structure, a corrupt byte (checksum
 	// mismatch), a hostile code count with no payload, and a bad magic.
-	small := MustGenerate(testSpec(17))
-	var buf bytes.Buffer
-	if err := small.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := fuzzImage(f, 17)
 	f.Add(valid)
-	buf.Reset()
-	if err := MustGenerate(testSpec(43)).Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(fuzzImage(f, 43))
 	f.Add(valid[:len(valid)/2])
 	corrupt := append([]byte{}, valid...)
 	corrupt[len(corrupt)/3] ^= 0x40
@@ -40,10 +31,7 @@ func FuzzProgramDecode(f *testing.F) {
 	f.Add([]byte("BPPROG99"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			// Cap replayed input size: the mutator inflates inputs to multiple
-			// megabytes, and walking those through the reflective field reads
-			// stalls the engine in minimization without covering new paths.
+		if len(data) > maxFuzzImage {
 			return
 		}
 		p, err := Decode(bytes.NewReader(data))
@@ -66,4 +54,28 @@ func FuzzProgramDecode(f *testing.F) {
 			t.Fatalf("encode→decode→encode not byte-identical (%d vs %d bytes)", b1.Len(), b2.Len())
 		}
 	})
+}
+
+// maxFuzzImage caps the inputs FuzzProgramDecode decodes. The fuzzing engine
+// minimizes every input that finds new coverage, running the body a number
+// of times quadratic in the input's length, and each run costs time linear
+// in it: one input derived from a full testSpec image (80 KB) outlasts a
+// short fuzz run. A two-block image holds every structure the format has
+// (header, regions, instructions, sites) in a few hundred bytes.
+const maxFuzzImage = 512
+
+// fuzzImage encodes a two-block program generated from testSpec(seed): a
+// few hundred bytes, under maxFuzzImage.
+func fuzzImage(f *testing.F, seed uint64) []byte {
+	sp := testSpec(seed)
+	sp.NumBlocks = 2
+	sp.MeanBlockLen = 2
+	var buf bytes.Buffer
+	if err := MustGenerate(sp).Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	if buf.Len() > maxFuzzImage {
+		f.Fatalf("seed image is %d bytes, over maxFuzzImage %d", buf.Len(), maxFuzzImage)
+	}
+	return buf.Bytes()
 }

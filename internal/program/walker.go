@@ -83,9 +83,6 @@ func (w *Walker) Seq() uint64 { return w.seq }
 // produced by Generate).
 func (w *Walker) Restarts() uint64 { return w.restarts }
 
-// SiteOcc returns the execution count of branch site id.
-func (w *Walker) SiteOcc(id int32) uint64 { return w.occ[id] }
-
 // Step architecturally executes the instruction at the walker's PC and
 // advances. It never fails: if control flow somehow leaves the image the
 // walker resets to the entry point and counts a restart.
@@ -141,46 +138,6 @@ func (w *Walker) Step() Step {
 	w.pc = st.NextPC
 	w.seq++
 	return st
-}
-
-// WalkerState is a deep copy of a Walker's architectural state; restoring it
-// resumes the identical dynamic instruction stream from the capture point.
-type WalkerState struct {
-	pc        uint64
-	ghist     uint64
-	occ       []uint64
-	callStack []uint64
-	memCursor []uint64
-	seq       uint64
-	restarts  uint64
-}
-
-// State captures the walker's architectural state.
-func (w *Walker) State() WalkerState {
-	return WalkerState{
-		pc:        w.pc,
-		ghist:     w.ghist,
-		occ:       append([]uint64(nil), w.occ...),
-		callStack: append([]uint64(nil), w.callStack...),
-		memCursor: append([]uint64(nil), w.memCursor...),
-		seq:       w.seq,
-		restarts:  w.restarts,
-	}
-}
-
-// SetState restores state previously captured from a walker of the same
-// program.
-func (w *Walker) SetState(s WalkerState) {
-	if len(s.occ) != len(w.occ) || len(s.memCursor) != len(w.memCursor) {
-		panic("program: walker state is from a different program")
-	}
-	w.pc = s.pc
-	w.ghist = s.ghist
-	copy(w.occ, s.occ)
-	w.callStack = append(w.callStack[:0], s.callStack...)
-	copy(w.memCursor, s.memCursor)
-	w.seq = s.seq
-	w.restarts = s.restarts
 }
 
 // memAddr computes the next effective address for a memory instruction per

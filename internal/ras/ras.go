@@ -84,32 +84,3 @@ func (r *RAS) Reset() {
 	r.top = len(r.stack) - 1
 	r.pushes, r.pops = 0, 0
 }
-
-// State is a deep copy of the whole stack plus statistics — unlike Snapshot,
-// which captures only the top-of-stack repair state for speculation, State
-// supports suspending and resuming a simulation.
-type State struct {
-	stack        []uint64
-	top          int
-	pushes, pops uint64
-}
-
-// State captures the full RAS state.
-func (r *RAS) State() State {
-	return State{
-		stack:  append([]uint64(nil), r.stack...),
-		top:    r.top,
-		pushes: r.pushes,
-		pops:   r.pops,
-	}
-}
-
-// SetState restores state previously captured from a RAS of the same size.
-func (r *RAS) SetState(s State) {
-	if len(s.stack) != len(r.stack) {
-		panic("ras: state size mismatch")
-	}
-	copy(r.stack, s.stack)
-	r.top = s.top
-	r.pushes, r.pops = s.pushes, s.pops
-}

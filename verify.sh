@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Output piped into a check goes to `grep PATTERN > /dev/null`, never
+# `grep -q`: grep -q exits at the first match, and under pipefail the writer
+# (curl, go run) then fails on the closed pipe whenever the match arrives
+# before its last write.
+
 gofmt_out="$(gofmt -l . 2>&1)"
 if [ -n "$gofmt_out" ]; then
     echo "gofmt: the following files need formatting:" >&2
@@ -41,12 +46,14 @@ done
 
 # Fuzz smoke: the binary decoders, the sweep-grid decoder and the store's
 # activity-entry decoder must survive sustained fuzzing with no crashes or
-# invariant violations. The minimize budget is capped so a slow minimization
-# cannot eat the whole fuzz window.
-go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
-go test -run '^$' -fuzz '^FuzzProgramDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/program
-(cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 5s .)
-go test -run '^$' -fuzz '^FuzzActivityEntryDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/resultstore
+# invariant violations. The engine minimizes every input that finds new
+# coverage, running the fuzz body a number of times quadratic in the input's
+# length: one multi-KB activity entry takes longer than the whole 5 s window,
+# so each minimization is capped at 100 runs of the body.
+go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/trace
+go test -run '^$' -fuzz '^FuzzProgramDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/program
+(cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 100x .)
+go test -run '^$' -fuzz '^FuzzActivityEntryDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/resultstore
 
 # Coverage floor for the lint suite itself: the fixtures and mutation
 # tests must keep exercising the analyzers they pin.
@@ -103,8 +110,8 @@ echo "parallel smoke: output identical at -parallel 1 and -parallel 4"
 go run ./cmd/bpexperiments -quick -warmup 4000 -measure 8000 -figure 22 > "$tmp/modern.txt"
 grep -q "TAGE_64k" "$tmp/modern.txt"
 grep -q "Perceptron_64k" "$tmp/modern.txt"
-go run ./cmd/bpsweep -pred TAGE_64k | grep -q "tage4"
-go run ./cmd/bpsweep -pred Perceptron_64k | grep -q "weights"
+go run ./cmd/bpsweep -pred TAGE_64k | grep "tage4" > /dev/null
+go run ./cmd/bpsweep -pred Perceptron_64k | grep "weights" > /dev/null
 echo "extension smoke: modern-predictor sweep and per-table reports run"
 
 # Fold correctness is gated by TestFoldMatchesSimulationAcrossPlan, run by
@@ -114,7 +121,7 @@ echo "extension smoke: modern-predictor sweep and per-table reports run"
 
 # Reprice CLI smoke: the -reprice report must fold 7 of its 8 variants from
 # a single simulation.
-go run ./cmd/bpsweep -pred Hybrid_1 -reprice | grep -q '^simulations=1 folds=7$'
+go run ./cmd/bpsweep -pred Hybrid_1 -reprice | grep '^simulations=1 folds=7$' > /dev/null
 echo "reprice smoke: bpsweep -reprice folded 7 variants from 1 simulation"
 
 # Service smoke: boot bpserved, hit the discovery and simulate endpoints at
@@ -142,7 +149,7 @@ for par in 1 4; do
     fi
     curl -sf "http://$serve_addr/v1/predictors" > "$tmp/predictors.$par.json"
     curl -sf -X POST -d "$sim_body" "http://$serve_addr/v1/simulate" > "$tmp/simulate.$par.json"
-    curl -sf "http://$serve_addr/metrics" | grep -q '^bpserved_simulations_total [1-9]'
+    curl -sf "http://$serve_addr/metrics" | grep '^bpserved_simulations_total [1-9]' > /dev/null
     kill -TERM "$serve_pid"
     wait "$serve_pid"
 done
@@ -207,7 +214,7 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 curl -sf -X POST -d "$sweep_body" "http://$replica_addr2/v1/sweeps" > "$tmp/sweep.r2.ndjson"
-curl -sf "http://$replica_addr2/metrics" | grep -q '^bpserved_store_hits_total [1-9]'
+curl -sf "http://$replica_addr2/metrics" | grep '^bpserved_store_hits_total [1-9]' > /dev/null
 diff "$tmp/sweep.r1.ndjson" "$tmp/sweep.r2.ndjson"
 
 # Shared-store reprice smoke: a clock-gating-axis sweep on replica 1 runs one
@@ -216,9 +223,9 @@ diff "$tmp/sweep.r1.ndjson" "$tmp/sweep.r2.ndjson"
 # moves on both, and replica 2 hits the store instead of simulating.
 gating_body='{"predictors":["Hybrid_1"],"workload":"164.gzip","clock_gating":["cc0","cc1","cc2","cc3"],"warmup_insts":4000,"measure_insts":8000}'
 curl -sf -X POST -d "$gating_body" "http://$serve_addr/v1/sweeps" > "$tmp/gatsweep.r1.ndjson"
-curl -sf "http://$serve_addr/metrics" | grep -q '^bpserved_reprice_folds_total [1-9]'
+curl -sf "http://$serve_addr/metrics" | grep '^bpserved_reprice_folds_total [1-9]' > /dev/null
 curl -sf -X POST -d "$gating_body" "http://$replica_addr2/v1/sweeps" > "$tmp/gatsweep.r2.ndjson"
-curl -sf "http://$replica_addr2/metrics" | grep -q '^bpserved_reprice_folds_total [1-9]'
+curl -sf "http://$replica_addr2/metrics" | grep '^bpserved_reprice_folds_total [1-9]' > /dev/null
 diff "$tmp/gatsweep.r1.ndjson" "$tmp/gatsweep.r2.ndjson"
 kill -TERM "$r1_pid" "$r2_pid"
 wait "$r1_pid" "$r2_pid"

@@ -1,13 +1,11 @@
-// Command bptrace works with the repository's EIO-trace analogues: it saves
-// benchmark program images (.bpprog), records committed-path branch traces
-// (.bptrace), and evaluates predictor configurations on recorded traces the
-// way SimpleScalar's sim-bpred does (predictor only, no pipeline timing).
+// Command bptrace works with the repository's EIO-trace analogue: it records
+// a benchmark's committed-path branch trace (.bptrace) and evaluates
+// predictor configurations on recorded traces the way SimpleScalar's
+// sim-bpred does (predictor only, no pipeline timing).
 //
 // Usage:
 //
-//	bptrace -bench 164.gzip -saveprog gzip.bpprog
 //	bptrace -bench 164.gzip -record gzip.bptrace -n 1000000
-//	bptrace -prog gzip.bpprog -record gzip.bptrace -n 1000000
 //	bptrace -eval gzip.bptrace                  # all 14 paper configurations
 //	bptrace -eval gzip.bptrace -pred Gsh_1_16k_12
 package main
@@ -22,14 +20,11 @@ import (
 	"bpredpower"
 	"bpredpower/internal/bpred"
 	"bpredpower/internal/experiments"
-	"bpredpower/internal/program"
 	"bpredpower/internal/trace"
 )
 
 func main() {
 	bench := flag.String("bench", "", "benchmark to generate (e.g. 164.gzip)")
-	progPath := flag.String("prog", "", "load a saved program image instead of generating")
-	saveProg := flag.String("saveprog", "", "write the program image to this file")
 	record := flag.String("record", "", "record a branch trace to this file")
 	n := flag.Uint64("n", 1000000, "instructions to walk when recording")
 	eval := flag.String("eval", "", "evaluate predictors on this recorded trace")
@@ -41,45 +36,23 @@ func main() {
 	switch {
 	case *eval != "":
 		evalTrace(*eval, *predName, *ext, *parallel)
-	case *bench != "" || *progPath != "":
-		prog := loadProgram(*bench, *progPath)
-		if *saveProg != "" {
-			f, err := os.Create(*saveProg)
-			die(err)
-			die(prog.Encode(f))
-			die(f.Close())
-			fmt.Printf("wrote %s (%d instructions, %d branch sites)\n", *saveProg, prog.Len(), len(prog.Sites))
-		}
-		if *record != "" {
-			f, err := os.Create(*record)
-			die(err)
-			count, err := trace.Record(prog, *n, f)
-			die(err)
-			die(f.Close())
-			fmt.Printf("wrote %s (%d branches from %d instructions)\n", *record, count, *n)
-		}
-		if *saveProg == "" && *record == "" {
-			fmt.Fprintln(os.Stderr, "nothing to do: pass -saveprog and/or -record")
+	case *bench != "":
+		if *record == "" {
+			fmt.Fprintln(os.Stderr, "nothing to do: pass -record")
 			os.Exit(2)
 		}
+		b, err := bpredpower.BenchmarkByName(*bench)
+		die(err)
+		f, err := os.Create(*record)
+		die(err)
+		count, err := trace.Record(b.Program(), *n, f)
+		die(err)
+		die(f.Close())
+		fmt.Printf("wrote %s (%d branches from %d instructions)\n", *record, count, *n)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func loadProgram(bench, path string) *program.Program {
-	if path != "" {
-		f, err := os.Open(path)
-		die(err)
-		defer f.Close()
-		p, err := program.Decode(f)
-		die(err)
-		return p
-	}
-	b, err := bpredpower.BenchmarkByName(bench)
-	die(err)
-	return b.Program()
 }
 
 func evalTrace(path, predName string, ext bool, parallel int) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"unsafe"
 
@@ -156,12 +157,19 @@ func NewRunCache(maxEntries int) *RunCache {
 // miss. Concurrent calls for the same key share one compute; callers whose
 // ctx ends while waiting get ctx.Err(). A compute error is returned to the
 // leader and every waiter, and the entry is dropped so a later call retries.
+// The one exception is the leader's own cancellation or deadline: a waiter
+// whose ctx is still live does not inherit it, but retries at once, joining
+// a newer compute or leading one itself.
 // The callers' pricing-variant folds never pass through here — only the one
 // simulation per execution key does.
 func (c *RunCache) DoActivity(ctx context.Context, bench string, opt cpu.Options, rc RunConfig, compute func(context.Context) (ActivityRecord, error)) (ActivityRecord, error) {
 	key := cacheKey{bench, opt, rc}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	for {
+		e, ok := c.entries[key]
+		if !ok {
+			break
+		}
 		select {
 		case <-e.done:
 			// Completed entries in the map never hold errors (errored ones
@@ -176,19 +184,23 @@ func (c *RunCache) DoActivity(ctx context.Context, bench string, opt cpu.Options
 		c.mu.Unlock()
 		select {
 		case <-e.done:
-			if e.err != nil {
-				return ActivityRecord{}, e.err
-			}
-			c.mu.Lock()
-			c.hits++
-			if e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
-			c.mu.Unlock()
-			return e.rec, nil
 		case <-ctx.Done():
 			return ActivityRecord{}, ctx.Err()
 		}
+		if e.err != nil {
+			if isContextErr(e.err) && ctx.Err() == nil {
+				c.mu.Lock()
+				continue
+			}
+			return ActivityRecord{}, e.err
+		}
+		c.mu.Lock()
+		c.hits++
+		if e.elem != nil {
+			c.lru.MoveToFront(e.elem)
+		}
+		c.mu.Unlock()
+		return e.rec, nil
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
 	c.entries[key] = e
@@ -233,6 +245,11 @@ func (c *RunCache) DoActivity(ctx context.Context, bench string, opt cpu.Options
 		as.SaveActivity(bench, opt, rc, rec)
 	}
 	return rec, err
+}
+
+// isContextErr reports whether err is a context's cancellation or deadline.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // count runs a counter mutation under the lock.

@@ -260,6 +260,57 @@ func TestRunCacheErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestRunCacheLeaderCancelNotInherited checks a waiter does not inherit the
+// leader's cancellation: when the leader's context ends mid-compute, a
+// waiter whose own context is live retries, computes, and gets the record.
+func TestRunCacheLeaderCancelNotInherited(t *testing.T) {
+	cache := NewRunCache(0)
+	var computes atomic.Int64
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := cache.DoActivity(leaderCtx, "bench", cpu.Options{}, Quick,
+			func(ctx context.Context) (ActivityRecord, error) {
+				computes.Add(1)
+				close(started)
+				<-ctx.Done()
+				return ActivityRecord{}, ctx.Err()
+			})
+		leaderErr <- err
+	}()
+	<-started
+	waiterDone := make(chan struct{})
+	var rec ActivityRecord
+	var err error
+	go func() {
+		defer close(waiterDone)
+		rec, err = cache.DoActivity(context.Background(), "bench", cpu.Options{}, Quick,
+			func(context.Context) (ActivityRecord, error) {
+				computes.Add(1)
+				return fakeRecord("bench"), nil
+			})
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block on the inflight entry
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want context.Canceled", err)
+	}
+	<-waiterDone
+	if err != nil {
+		t.Fatalf("waiter inherited the leader's error: %v", err)
+	}
+	if rec.Run.Benchmark != "bench" {
+		t.Errorf("waiter got %+v", rec)
+	}
+	if n := computes.Load(); n != 2 {
+		t.Errorf("computes = %d, want 2 (the canceled leader's, then the waiter's)", n)
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Entries != 1 || st.Inflight != 0 {
+		t.Errorf("stats = %+v, want 2 misses, 1 entry, none in flight", st)
+	}
+}
+
 // TestRunCacheLRUEviction checks the entry bound: with MaxEntries=2, a third
 // key evicts the least recently used one, byte accounting follows, and the
 // evicted key recomputes on its next request.

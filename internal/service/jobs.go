@@ -26,12 +26,13 @@ type sweepJob struct {
 	header []byte
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	lines    [][]byte
-	trailer  []byte
-	failed   bool
-	watchers int
-	change   chan struct{} // closed on every append; replaced while running
+	mu        sync.Mutex
+	lines     [][]byte
+	trailer   []byte
+	failed    bool
+	abandoned bool // the last watcher left before the trailer: it will fail
+	watchers  int
+	change    chan struct{} // closed on every append; replaced while running
 }
 
 func newSweepJob(id string, header []byte, cancel context.CancelFunc) *sweepJob {
@@ -79,6 +80,19 @@ func (j *sweepJob) done() (done, ok bool) {
 	return j.trailer != nil, j.trailer != nil && !j.failed
 }
 
+// joinable reports whether a new POST may share the job: it finished
+// successfully, or it is in flight and still watched. An abandoned job is
+// bound to end in a cancellation trailer, so the caller replaces it with a
+// fresh run, as it does a failed one.
+func (j *sweepJob) joinable() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.trailer != nil {
+		return !j.failed
+	}
+	return !j.abandoned
+}
+
 // acquire registers a watcher.
 func (j *sweepJob) acquire() {
 	j.mu.Lock()
@@ -93,6 +107,7 @@ func (j *sweepJob) release() {
 	j.mu.Lock()
 	j.watchers--
 	abandon := j.watchers == 0 && j.trailer == nil
+	j.abandoned = j.abandoned || abandon
 	j.mu.Unlock()
 	if abandon {
 		j.cancel()

@@ -296,14 +296,14 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	hdr.ID = sweepID(hdr, rc)
 
 	// An equivalent job that is in flight or finished successfully is
-	// shared/replayed; a failed one is replaced by a fresh run.
+	// shared/replayed; a failed or abandoned one is replaced by a fresh run.
 	if job, ok := s.lookupJob(hdr.ID); ok {
-		if done, success := job.done(); !done || success {
+		if job.joinable() {
 			defer job.release()
 			s.streamJob(w, r, job)
 			return
 		}
-		job.release() // finished in failure: replace it with a fresh run
+		job.release() // failed, or canceled by its last watcher: replace it
 	}
 
 	timeout := s.cfg.RequestTimeout

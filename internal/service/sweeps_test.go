@@ -380,6 +380,48 @@ func TestSweepClientDisconnectCancels(t *testing.T) {
 	}
 }
 
+// TestSweepReplacesAbandonedJob pins the gap between a sweep's last client
+// leaving and its runner sealing the cancellation trailer: a new POST of the
+// same grid in that gap must start a fresh run, not attach to a job that can
+// only fail. The gap is held open by registering an abandoned job that has
+// no runner, so a POST that attached to it would never finish.
+func TestSweepReplacesAbandonedJob(t *testing.T) {
+	ref := httptest.NewServer(New(testConfig()).Handler())
+	defer ref.Close()
+	refResp, want := postSweep(t, ref, quickSweepBody())
+	id := refResp.Header.Get("X-Sweep-ID")
+
+	srv := New(testConfig())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	stale := newSweepJob(id, []byte("{}\n"), func() {})
+	stale.acquire()
+	srv.registerJob(stale)
+	stale.release() // the only watcher leaves before any trailer
+	if stale.joinable() {
+		t.Fatal("a job whose last watcher left is still joinable")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(quickSweepBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST attached to the abandoned job: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("POST attached to the abandoned job: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sweep after an abandoned job differs from a fresh server's:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestSweepDeadlinePartialResults pins the deadline semantics: completed
 // points are already on the wire when the deadline fires, and the failure
 // trailer reports exactly how many.

@@ -44,14 +44,13 @@ for ex in examples/*/; do
     go run "./$ex" > /dev/null
 done
 
-# Fuzz smoke: the binary decoders, the sweep-grid decoder and the store's
-# activity-entry decoder must survive sustained fuzzing with no crashes or
-# invariant violations. The engine minimizes every input that finds new
-# coverage, running the fuzz body a number of times quadratic in the input's
-# length: one multi-KB activity entry takes longer than the whole 5 s window,
-# so each minimization is capped at 100 runs of the body.
+# Fuzz smoke: the branch-trace decoder, the sweep-grid decoder and the
+# store's activity-entry decoder must survive sustained fuzzing with no
+# crashes or invariant violations. The engine minimizes every input that
+# finds new coverage, running the fuzz body a number of times quadratic in
+# the input's length: one multi-KB activity entry takes longer than the whole
+# 5 s window, so each minimization is capped at 100 runs of the body.
 go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/trace
-go test -run '^$' -fuzz '^FuzzProgramDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/program
 (cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 100x .)
 go test -run '^$' -fuzz '^FuzzActivityEntryDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/resultstore
 
@@ -230,22 +229,6 @@ diff "$tmp/gatsweep.r1.ndjson" "$tmp/gatsweep.r2.ndjson"
 kill -TERM "$r1_pid" "$r2_pid"
 wait "$r1_pid" "$r2_pid"
 echo "replica smoke: two servers on one store served identical bodies, second repriced from disk"
-
-# Load smoke: bpload drives a mixed simulate/sweep/cancel workload and exits
-# nonzero on any non-cancellation failure.
-go build -o "$tmp/bpload" ./cmd/bpload
-"$tmp/bpserved" -addr "$serve_addr" -store-dir "$tmp/store-load" 2> "$tmp/bpserved.load.log" &
-load_pid=$!
-if ! wait_healthy; then
-    echo "bpserved (load) never became healthy" >&2; cat "$tmp/bpserved.load.log" >&2
-    kill "$load_pid" 2> /dev/null || true
-    exit 1
-fi
-"$tmp/bpload" -addr "$serve_addr" -smoke -o "$tmp/load.json"
-grep -q '"errors": 0' "$tmp/load.json"
-kill -TERM "$load_pid"
-wait "$load_pid"
-echo "load smoke: bpload -smoke completed with zero errors"
 
 # Performance gate: rerun the microbenchmarks and compare against the
 # committed baseline; fail on >15% ns/op regressions or new allocations.

@@ -7,16 +7,16 @@
 //	GET  /v1/workloads             benchmarks and suite names
 //	POST /v1/simulate              {"predictor":"Hybrid_1","workload":"SPECint2000","fidelity":"quick"}
 //	POST /v1/sweeps                {"predictors":[...],"workload":"Subset7"} → streamed NDJSON grid results
-//	GET  /v1/sweeps/{id}           replay a finished sweep or follow an in-flight one
 //	GET  /v1/figures/{n}           a paper figure, rendered by the CLI code path
 //	GET  /metrics                  Prometheus text format
 //	GET  /debug/pprof/             live profiles
 //	GET  /healthz                  readiness
 //
 // Identical requests return byte-identical JSON at any -parallel value, the
-// same determinism contract the CLI keeps. Client disconnects and deadlines
-// cancel the underlying simulations; SIGINT/SIGTERM drains inflight requests
-// before exiting.
+// same determinism contract the CLI keeps. A sweep is one request that
+// streams until its grid is done. Client disconnects and deadlines cancel the
+// underlying simulations; SIGINT/SIGTERM drains inflight requests before
+// exiting.
 package main
 
 import (

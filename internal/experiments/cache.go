@@ -16,8 +16,8 @@ import (
 // Harness resolves its records through one (NewHarness gives each its own,
 // unbounded); shared across harnesses, it is the serving layer's answer to
 // the Harness memo maps, which are deliberately single-goroutine: a server
-// builds one RunCache at startup, hands it to a fresh Harness per request,
-// and gets
+// builds one RunCache at startup, hands it to a fresh Harness per request
+// (or resolves points on it directly with Resolve), and gets
 //
 //   - singleflight: concurrent demand for the same (benchmark, execution
 //     options, run-config) key runs exactly one simulation — later arrivals
@@ -247,6 +247,18 @@ func (c *RunCache) DoActivity(ctx context.Context, bench string, opt cpu.Options
 	return rec, err
 }
 
+// Resolve returns the Run of benchmark b under opt at rc from the cache
+// alone, with no Harness memo: the point's execution key resolves through
+// DoActivity, one simulation on a miss, and a pricing variant is folded from
+// its record. Concurrent callers share simulations through the singleflight,
+// so a server's workers call it directly, one grid point each.
+func (c *RunCache) Resolve(ctx context.Context, b workload.Benchmark, opt cpu.Options, rc RunConfig) (Run, error) {
+	r, _, err := c.resolve(opt, func(execOpt cpu.Options) (ActivityRecord, error) {
+		return c.activity(ctx, b, execOpt, rc, nil)
+	})
+	return r, err
+}
+
 // isContextErr reports whether err is a context's cancellation or deadline.
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -295,12 +307,6 @@ func (c *RunCache) evictLocked() {
 		c.bytes -= e.size
 		c.evictions++
 	}
-}
-
-// noteFolds records folds performed by a harness against this cache, so
-// /metrics sees fold traffic wherever the cache is shared.
-func (c *RunCache) noteFolds(n uint64) {
-	c.count(func() { c.folds += n })
 }
 
 // Program returns the (memoized, singleflighted) program image of a

@@ -241,7 +241,7 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 	errs := make([]error, len(pending))
 	done := make([]bool, len(pending))
 	ferr := ForEachCtx(ctx, h.Workers(), len(pending), func(i int) {
-		recs[i], errs[i] = h.doActivity(ctx, pending[i].Bench, pending[i].Opt)
+		recs[i], errs[i] = h.Cache.activity(ctx, pending[i].Bench, pending[i].Opt, h.RC, &h.actSims)
 		done[i] = true
 	})
 	for i, j := range pending {
@@ -266,9 +266,12 @@ func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
 		if !ok {
 			continue
 		}
-		if _, err := h.fold(k, rec, j.Opt); err != nil {
+		r, err := h.Cache.fold(rec, j.Opt)
+		if err != nil {
 			return err
 		}
+		h.actFolds.Add(1)
+		h.runs[k] = r
 	}
 	if ferr != nil {
 		return ferr
@@ -369,26 +372,25 @@ func (h *Harness) Simulate(b workload.Benchmark, opt cpu.Options) Run {
 	if r, ok := h.runs[key]; ok {
 		return r
 	}
-	execOpt, pk := SplitOptions(opt)
-	ek := runKey{b.Name, execOpt}
-	rec, ok := h.acts[ek]
-	if !ok {
-		var err error
-		rec, err = h.doActivity(h.ctx(), b, execOpt)
-		if err != nil {
-			h.noteErr(err)
-			return Run{}
+	r, folded, err := h.Cache.resolve(opt, func(execOpt cpu.Options) (ActivityRecord, error) {
+		ek := runKey{b.Name, execOpt}
+		if rec, ok := h.acts[ek]; ok {
+			return rec, nil
 		}
-		h.acts[ek] = rec
-		h.runs[ek] = rec.Run
-	}
-	if pk.IsBase() {
-		return rec.Run
-	}
-	r, err := h.fold(key, rec, opt)
+		rec, err := h.Cache.activity(h.ctx(), b, execOpt, h.RC, &h.actSims)
+		if err == nil {
+			h.acts[ek] = rec
+			h.runs[ek] = rec.Run
+		}
+		return rec, err
+	})
 	if err != nil {
 		h.noteErr(err)
 		return Run{}
+	}
+	if folded {
+		h.actFolds.Add(1)
+		h.runs[key] = r
 	}
 	return r
 }

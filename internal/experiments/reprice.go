@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/power"
@@ -178,25 +179,45 @@ func (h *Harness) RepriceStats() RepriceStats {
 	return RepriceStats{Simulations: h.actSims.Load(), Folds: h.actFolds.Load()}
 }
 
-// doActivity resolves the activity record of an execution key through the
-// harness cache (singleflight + persistent store); a miss runs one full
-// base simulation. The harness-local memo (h.acts) is the caller's job.
-func (h *Harness) doActivity(ctx context.Context, b workload.Benchmark, execOpt cpu.Options) (ActivityRecord, error) {
-	return h.Cache.DoActivity(ctx, b.Name, execOpt, h.RC, func(cctx context.Context) (ActivityRecord, error) {
-		h.actSims.Add(1)
-		return simulate(cctx, h.Cache.Program(b), b, execOpt, h.RC, chunkInsts)
+// resolve is the one sequence from a point to its Run, shared by
+// Harness.Simulate and RunCache.Resolve: split opt into its execution options
+// and pricing key, get the execution key's activity record from act, and
+// return the record's base Run or, for a pricing variant, a fold of it.
+// folded reports the latter.
+func (c *RunCache) resolve(opt cpu.Options, act func(execOpt cpu.Options) (ActivityRecord, error)) (r Run, folded bool, err error) {
+	execOpt, pk := SplitOptions(opt)
+	rec, err := act(execOpt)
+	if err != nil {
+		return Run{}, false, err
+	}
+	if pk.IsBase() {
+		return rec.Run, false, nil
+	}
+	if r, err = c.fold(rec, opt); err != nil {
+		return Run{}, false, err
+	}
+	return r, true, nil
+}
+
+// activity resolves the activity record of an execution key through the
+// cache (singleflight + persistent store); a miss runs one full base
+// simulation, counted on sims when it is non-nil.
+func (c *RunCache) activity(ctx context.Context, b workload.Benchmark, execOpt cpu.Options, rc RunConfig, sims *atomic.Uint64) (ActivityRecord, error) {
+	return c.DoActivity(ctx, b.Name, execOpt, rc, func(cctx context.Context) (ActivityRecord, error) {
+		if sims != nil {
+			sims.Add(1)
+		}
+		return simulate(cctx, c.Program(b), b, execOpt, rc, chunkInsts)
 	})
 }
 
-// fold produces and memoizes the Run for a pricing variant of an execution
-// key whose activity record is already in hand.
-func (h *Harness) fold(key runKey, rec ActivityRecord, opt cpu.Options) (Run, error) {
+// fold reprices a record under opt and counts the fold on the cache, so
+// /metrics sees fold traffic wherever the cache is shared.
+func (c *RunCache) fold(rec ActivityRecord, opt cpu.Options) (Run, error) {
 	r, err := Reprice(rec, opt)
 	if err != nil {
 		return Run{}, err
 	}
-	h.actFolds.Add(1)
-	h.Cache.noteFolds(1)
-	h.runs[key] = r
+	c.count(func() { c.folds++ })
 	return r, nil
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bpredpower/internal/resultstore"
 	"bpredpower/internal/xrand"
@@ -29,7 +28,7 @@ type loadRequest struct {
 // planMixedLoad draws n requests from a small key pool with a fixed seed:
 // about a quarter are two-predictor sweeps and about a tenth are abandoned.
 // The pool is small on purpose, so abandoned and surviving requests keep
-// colliding on the same cache entries, sweep jobs and store keys. Seed 2
+// colliding on the same cache entries and store keys. Seed 2
 // gives 40 requests with 10 sweeps and 3 abandons, 2 of them sweeps.
 func planMixedLoad(n int, seed uint64) []loadRequest {
 	preds := []string{"Bim_4k", "GAs_1_32k_8", "Gsh_1_16k_12", "Hybrid_1"}
@@ -154,29 +153,9 @@ func TestMixedLoadWithCancellations(t *testing.T) {
 		t.Errorf("none of the %d planned abandons was canceled; the load exercised no disconnect", planned)
 	}
 
-	// Abandoned sweep jobs seal themselves in the background; wait for every
-	// job to finish so no runner outlives the test.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		busy := 0
-		srv.jobsMu.Lock()
-		for _, id := range srv.jobOrder {
-			if done, _ := srv.jobs[id].done(); !done {
-				busy++
-			}
-		}
-		srv.jobsMu.Unlock()
-		if busy == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sweep jobs still running after the load", busy)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := srv.Cache.Stats(); st.Inflight != 0 {
-		t.Errorf("cache holds %d in-flight entries after the load", st.Inflight)
-	}
+	// An abandoned request's handler may still be winding down after its
+	// client gave up; wait for every handler and compute to finish.
+	waitIdle(t, srv)
 
 	// Every distinct request, abandoned ones included, must now be answered
 	// from the loaded server's cache and store exactly as a fresh server

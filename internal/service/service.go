@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,11 +62,6 @@ type Server struct {
 	log     *slog.Logger
 	mux     *http.ServeMux
 	reqSeq  atomic.Uint64
-
-	// Sweep job registry: id → transcript, insertion-ordered for eviction.
-	jobsMu   sync.Mutex
-	jobs     map[string]*sweepJob
-	jobOrder []string
 }
 
 // New builds a Server from cfg.
@@ -94,7 +88,6 @@ func New(cfg Config) *Server {
 		metrics: NewMetrics(),
 		log:     cfg.Logger,
 		mux:     http.NewServeMux(),
-		jobs:    map[string]*sweepJob{},
 	}
 	s.Cache.Gate = make(chan struct{}, cfg.MaxConcurrent)
 	if cfg.Store != nil {
@@ -109,7 +102,6 @@ func New(cfg Config) *Server {
 	s.mux.Handle("GET /v1/workloads", s.instrument("/v1/workloads", http.HandlerFunc(s.handleWorkloads)))
 	s.mux.Handle("POST /v1/simulate", s.instrument("/v1/simulate", http.HandlerFunc(s.handleSimulate)))
 	s.mux.Handle("POST /v1/sweeps", s.instrument("/v1/sweeps", http.HandlerFunc(s.handleSweeps)))
-	s.mux.Handle("GET /v1/sweeps/{id}", s.instrument("/v1/sweeps/{id}", http.HandlerFunc(s.handleSweepGet)))
 	s.mux.Handle("GET /v1/figures/{n}", s.instrument("/v1/figures", http.HandlerFunc(s.handleFigure)))
 	s.mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {

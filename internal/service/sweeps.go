@@ -19,7 +19,7 @@ import (
 	"bpredpower/internal/power"
 )
 
-// Grid bounds: a sweep is a batch job, not a denial-of-service vector. The
+// Grid bounds: a sweep is one request, not a denial-of-service vector. The
 // caps are enforced structurally by decodeSweepRequest (predictor/axis
 // counts) and by the handler after workload resolution (total points).
 const (
@@ -50,7 +50,7 @@ type SweepRequest struct {
 	Fidelity     string `json:"fidelity,omitempty"`
 	WarmupInsts  uint64 `json:"warmup_insts,omitempty"`
 	MeasureInsts uint64 `json:"measure_insts,omitempty"`
-	// TimeoutMS tightens (never loosens) the job deadline.
+	// TimeoutMS tightens (never loosens) the server's request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -199,7 +199,7 @@ type sweepFailure struct {
 	Completed int    `json:"completed"`
 }
 
-// sweepID derives the job id from the resolved grid and run configuration.
+// sweepID derives the sweep id from the resolved grid and run configuration.
 // Identical grids — whatever the axis spellings that produced them — map to
 // the same id.
 func sweepID(hdr sweepHeader, rc experiments.RunConfig) string {
@@ -223,11 +223,12 @@ func ndjsonLine(v any) []byte {
 	return append(data, '\n')
 }
 
-// handleSweeps is POST /v1/sweeps: validate, resolve, and either attach to
-// an equivalent existing job (in-flight or finished — the stream replays its
-// transcript) or start a new one and stream it. The response is NDJSON:
-// header line, one line per grid point in grid order, then a summary (or
-// failure) trailer.
+// handleSweeps is POST /v1/sweeps: validate, resolve, and stream the grid
+// under the request's own context, whose deadline timeout_ms may tighten.
+// The response is NDJSON: header line, one line per grid point in grid
+// order, then a summary (or failure) trailer. The status is always 200 once
+// the grid is valid: a failure surfaces as the in-band trailer, since points
+// may already be on the wire when it happens.
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
@@ -295,54 +296,34 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 	hdr.ID = sweepID(hdr, rc)
 
-	// An equivalent job that is in flight or finished successfully is
-	// shared/replayed; a failed or abandoned one is replaced by a fresh run.
-	if job, ok := s.lookupJob(hdr.ID); ok {
-		if job.joinable() {
-			defer job.release()
-			s.streamJob(w, r, job)
-			return
-		}
-		job.release() // failed, or canceled by its last watcher: replace it
-	}
-
-	timeout := s.cfg.RequestTimeout
+	ctx := r.Context()
 	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		defer cancel()
 	}
-	jobCtx, cancel := context.WithTimeout(context.Background(), timeout)
-	job := newSweepJob(hdr.ID, ndjsonLine(hdr), cancel)
-	job.acquire() // the creating stream's watch; released below
-	s.registerJob(job)
-	go s.runSweep(jobCtx, job, rc, points) //bplint:allow goroutine -- the job outlives this request by design; the watcher refcount cancels it and runSweep joins its pool before returning
-	defer job.release()
-	s.streamJob(w, r, job)
-}
-
-// handleSweepGet is GET /v1/sweeps/{id}: replay a finished job or attach to
-// an in-flight one (the stream catches up on recorded lines, then follows).
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.lookupJob(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown sweep %q", id))
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Sweep-ID", hdr.ID)
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(ndjsonLine(hdr)); err != nil {
 		return
 	}
-	defer job.release()
-	s.streamJob(w, r, job)
+	s.runSweep(ctx, w, rc, points)
 }
 
-// runSweep executes one job: fan the grid out across the worker pool (every
-// point flows through the shared RunCache, so singleflight, the concurrency
-// gate, and the persistent store all apply) and append per-point lines in
-// grid order as their results become final. The emit loop waits on point i
-// before looking at i+1 — later points may finish earlier, but their lines
-// are withheld until their turn, which is what makes the body byte-identical
-// at any worker count while still streaming incrementally. rc is the run
-// configuration whose windows the job's header advertises.
-func (s *Server) runSweep(ctx context.Context, job *sweepJob, rc experiments.RunConfig, points []experiments.Job) {
+// runSweep fans the grid out across the worker pool and writes per-point
+// lines in grid order as their results become final. Every point resolves
+// through the shared RunCache, so singleflight, the concurrency gate, and
+// the persistent store all apply, and identical or overlapping concurrent
+// sweeps share their simulations. The emit loop waits on point i before
+// looking at i+1: later points may finish earlier, but their lines are
+// withheld until their turn, which makes the body byte-identical at any
+// worker count while still streaming incrementally. Lines already final go
+// out in one batch; the stream is flushed only before the loop blocks. It
+// returns after the pool has joined, and returning early (a failed point, a
+// dead client) cancels the points not yet claimed. rc is the run
+// configuration whose windows the header advertises.
+func (s *Server) runSweep(ctx context.Context, w http.ResponseWriter, rc experiments.RunConfig, points []experiments.Job) {
 	n := len(points)
 	results := make([]experiments.Run, n)
 	errs := make([]error, n)
@@ -351,38 +332,46 @@ func (s *Server) runSweep(ctx context.Context, job *sweepJob, rc experiments.Run
 		ready[i] = make(chan struct{})
 	}
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		experiments.ForEachCtx(ctx, s.cfg.Parallel, n, func(i int) {
-			// A fresh harness per point: the memo maps are per-goroutine,
-			// all sharing happens in the RunCache underneath.
-			h := s.harness(ctx, rc)
-			results[i] = h.Simulate(points[i].Bench, points[i].Opt)
-			errs[i] = h.Err()
+			results[i], errs[i] = s.Cache.Resolve(ctx, points[i].Bench, points[i].Opt, rc)
 			close(ready[i])
 		})
 	}()
-	defer wg.Wait()
 
-	emitted := 0
+	ctl := http.NewResponseController(w)
+	fail := func(err error, completed int) {
+		w.Write(ndjsonLine(sweepFailure{Error: sweepErrorText(err), Completed: completed}))
+	}
 	for i := 0; i < n; i++ {
 		select {
 		case <-ready[i]:
-			if errs[i] != nil {
-				job.finish(ndjsonLine(sweepFailure{Error: sweepErrorText(errs[i]), Completed: emitted}), true)
+		default:
+			ctl.Flush()
+			select {
+			case <-ready[i]:
+			case <-ctx.Done():
+				fail(ctx.Err(), i)
 				return
 			}
-			job.append(ndjsonLine(SweepPoint{
-				Point:       i,
-				Predictor:   points[i].Opt.Predictor.Name,
-				Banked:      points[i].Opt.BankedPredictor,
-				ClockGating: points[i].Opt.ClockGating.String(),
-				RunResult:   toRunResult(results[i]),
-			}))
-			emitted++
-		case <-ctx.Done():
-			job.finish(ndjsonLine(sweepFailure{Error: sweepErrorText(ctx.Err()), Completed: emitted}), true)
+		}
+		if errs[i] != nil {
+			fail(errs[i], i)
+			return
+		}
+		line := ndjsonLine(SweepPoint{
+			Point:       i,
+			Predictor:   points[i].Opt.Predictor.Name,
+			Banked:      points[i].Opt.BankedPredictor,
+			ClockGating: points[i].Opt.ClockGating.String(),
+			RunResult:   toRunResult(results[i]),
+		})
+		if _, err := w.Write(line); err != nil {
 			return
 		}
 	}
@@ -390,10 +379,10 @@ func (s *Server) runSweep(ctx context.Context, job *sweepJob, rc experiments.Run
 	for i, r := range results {
 		rrs[i] = toRunResult(r)
 	}
-	job.finish(ndjsonLine(sweepSummary{Done: true, Points: n, Mean: meanResult(rrs)}), false)
+	w.Write(ndjsonLine(sweepSummary{Done: true, Points: n, Mean: meanResult(rrs)}))
 }
 
-// sweepErrorText maps a job error to its stable in-stream message.
+// sweepErrorText maps a sweep error to its stable in-stream message.
 func sweepErrorText(err error) string {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -402,42 +391,5 @@ func sweepErrorText(err error) string {
 		return "sweep canceled"
 	default:
 		return err.Error()
-	}
-}
-
-// streamJob writes a job's transcript to one client: everything recorded so
-// far, then (for in-flight jobs) each new line as the runner appends it,
-// flushing after every write so clients see points incrementally. The
-// status is always 200 — a failure surfaces as the in-band trailer, since
-// points may already be on the wire when it happens.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *sweepJob) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-ID", job.id)
-	w.WriteHeader(http.StatusOK)
-	ctl := http.NewResponseController(w)
-	if _, err := w.Write(job.header); err != nil {
-		return
-	}
-	ctl.Flush()
-	sent := 0
-	for {
-		lines, trailer, change := job.snapshot(sent)
-		for _, ln := range lines {
-			if _, err := w.Write(ln); err != nil {
-				return
-			}
-		}
-		sent += len(lines)
-		if trailer != nil {
-			w.Write(trailer)
-			ctl.Flush()
-			return
-		}
-		ctl.Flush()
-		select {
-		case <-change:
-		case <-r.Context().Done():
-			return
-		}
 	}
 }

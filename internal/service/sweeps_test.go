@@ -181,9 +181,9 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestSweepReplay checks both replay paths against the original bytes: a
-// repeated POST attaches to the finished job, and GET /v1/sweeps/{id}
-// replays it — neither runs a single new simulation.
+// TestSweepReplay checks that a repeated POST of a finished grid returns the
+// original bytes without running a single new simulation: every point is a
+// RunCache hit.
 func TestSweepReplay(t *testing.T) {
 	srv := New(testConfig())
 	ts := httptest.NewServer(srv.Handler())
@@ -193,37 +193,24 @@ func TestSweepReplay(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, first)
 	}
-	hdr, _, _ := parseSweep(t, first)
-
 	sims := srv.Cache.Stats().Misses
 	resp, second := postSweep(t, ts, quickSweepBody())
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replayed POST: status %d", resp.StatusCode)
+		t.Fatalf("repeated POST: status %d", resp.StatusCode)
 	}
 	if !bytes.Equal(first, second) {
-		t.Errorf("replayed POST body differs:\n%s\nvs\n%s", first, second)
-	}
-	resp, third := get(t, ts, "/v1/sweeps/"+hdr.ID)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET replay: status %d", resp.StatusCode)
-	}
-	if !bytes.Equal(first, third) {
-		t.Errorf("GET replay body differs:\n%s\nvs\n%s", first, third)
+		t.Errorf("repeated POST body differs:\n%s\nvs\n%s", first, second)
 	}
 	if after := srv.Cache.Stats().Misses; after != sims {
-		t.Errorf("replays started %d new simulations", after-sims)
-	}
-
-	resp, data := get(t, ts, "/v1/sweeps/sw-doesnotexist")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown id: status %d, body %s", resp.StatusCode, data)
+		t.Errorf("repeated POST started %d new simulations", after-sims)
 	}
 }
 
-// TestSweepAttachInFlight attaches a GET watcher to a sweep whose first
-// point is still computing; when the job finishes, both the creating POST
-// stream and the late watcher carry identical bytes.
-func TestSweepAttachInFlight(t *testing.T) {
+// TestSweepConcurrentIdenticalShare posts one grid twice at once while the
+// first simulation is held: the RunCache singleflight shares every
+// simulation between the two requests, so both bodies are byte-identical and
+// the cache misses exactly once per distinct execution key of the grid.
+func TestSweepConcurrentIdenticalShare(t *testing.T) {
 	srv := New(testConfig())
 	release := make(chan struct{})
 	var once sync.Once
@@ -233,69 +220,73 @@ func TestSweepAttachInFlight(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// 2 predictors × 2 banked × 2 gating styles on one benchmark: 8 points,
+	// but banking and gating only price, so 2 execution keys.
+	const body = `{"predictors":["Bim_4k","Gsh_1_16k_12"],"workload":"164.gzip","banked":[false,true],` +
+		`"clock_gating":["cc0","cc3"],"warmup_insts":2000,"measure_insts":4000}`
+	const execKeys = 2
+	misses := srv.Cache.Stats().Misses
+
 	type result struct {
 		data []byte
 		err  error
 	}
-	postCh := make(chan result, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(quickSweepBody()))
-		if err != nil {
-			postCh <- result{nil, err}
-			return
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		postCh <- result{data, err}
-	}()
-
-	// Wait for the job to appear in the registry, then attach a GET watcher
-	// while the first point is held.
-	var id string
-	deadline := time.After(10 * time.Second)
-	for id == "" {
-		srv.jobsMu.Lock()
-		for jid := range srv.jobs { //bplint:allow maprange -- the registry holds at most one job here
-			id = jid
-		}
-		srv.jobsMu.Unlock()
-		if id == "" {
-			select {
-			case <-deadline:
-				t.Fatal("sweep job never registered")
-			case <-time.After(time.Millisecond):
+	results := make(chan result, 2)
+	for range 2 {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+			if err != nil {
+				results <- result{nil, err}
+				return
 			}
-		}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			results <- result{data, err}
+		}()
 	}
-	getCh := make(chan result, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
-		if err != nil {
-			getCh <- result{nil, err}
-			return
+	// Release the held simulation only once both requests are being served.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.metrics.inflight.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 2 sweeps reached the server", srv.metrics.inflight.Load())
 		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		getCh <- result{data, err}
-	}()
-
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
-	post, gotten := <-postCh, <-getCh
-	if post.err != nil || gotten.err != nil {
-		t.Fatalf("stream errors: post %v, get %v", post.err, gotten.err)
+
+	a, b := <-results, <-results
+	if a.err != nil || b.err != nil {
+		t.Fatalf("stream errors: %v, %v", a.err, b.err)
 	}
-	if !bytes.Equal(post.data, gotten.data) {
-		t.Errorf("in-flight watcher bytes differ:\n%s\nvs\n%s", post.data, gotten.data)
+	if !bytes.Equal(a.data, b.data) {
+		t.Errorf("concurrent identical sweeps differ:\n%s\nvs\n%s", a.data, b.data)
 	}
-	if _, points, _ := parseSweep(t, post.data); len(points) != 2 {
-		t.Errorf("held sweep still must complete both points, got %d", len(points))
+	if _, points, _ := parseSweep(t, a.data); len(points) != 8 {
+		t.Errorf("got %d points, want 8", len(points))
+	}
+	if got := srv.Cache.Stats().Misses - misses; got != execKeys {
+		t.Errorf("two concurrent identical sweeps missed the cache %d times, want %d (one per execution key)", got, execKeys)
 	}
 }
 
-// TestSweepClientDisconnectCancels checks the watcher-refcount contract:
-// when the only client of an in-flight sweep goes away, the job context is
-// canceled (the simulation observes it) and the job seals itself with a
-// cancellation trailer instead of burning through the rest of the grid.
+// waitIdle waits until the server is serving no request and its cache is
+// computing nothing: no handler, worker pool or simulation outlives the
+// request that started it.
+func waitIdle(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.metrics.inflight.Load() != 0 || srv.Cache.Stats().Inflight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests and %d cache computes still in flight", srv.metrics.inflight.Load(), srv.Cache.Stats().Inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSweepClientDisconnectCancels: when the client of an in-flight sweep
+// goes away, the request context is canceled, the running simulation
+// observes it, and the handler, its worker pool and the cache's in-flight
+// computes all wind down instead of burning through the rest of the grid.
 func TestSweepClientDisconnectCancels(t *testing.T) {
 	srv := New(testConfig())
 	started := make(chan struct{})
@@ -343,83 +334,7 @@ func TestSweepClientDisconnectCancels(t *testing.T) {
 		t.Fatal("simulation context was never canceled after client disconnect")
 	}
 	<-errCh
-
-	// The job must seal with a failure trailer, and the registry must still
-	// replay its partial transcript.
-	var job *sweepJob
-	srv.jobsMu.Lock()
-	for _, j := range srv.jobs { //bplint:allow maprange -- the registry holds at most one job here
-		job = j
-	}
-	srv.jobsMu.Unlock()
-	if job == nil {
-		t.Fatal("job missing from registry")
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		if done, success := job.done(); done {
-			if success {
-				t.Error("abandoned sweep finished successfully; want a cancellation trailer")
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("abandoned job never sealed")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	_, data := get(t, ts, "/v1/sweeps/"+job.id)
-	var fail sweepFailure
-	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	if err := json.Unmarshal(lines[len(lines)-1], &fail); err != nil {
-		t.Fatalf("failure trailer: %v\n%s", err, data)
-	}
-	if fail.Error != "sweep canceled" {
-		t.Errorf("trailer error = %q, want \"sweep canceled\"", fail.Error)
-	}
-}
-
-// TestSweepReplacesAbandonedJob pins the gap between a sweep's last client
-// leaving and its runner sealing the cancellation trailer: a new POST of the
-// same grid in that gap must start a fresh run, not attach to a job that can
-// only fail. The gap is held open by registering an abandoned job that has
-// no runner, so a POST that attached to it would never finish.
-func TestSweepReplacesAbandonedJob(t *testing.T) {
-	ref := httptest.NewServer(New(testConfig()).Handler())
-	defer ref.Close()
-	refResp, want := postSweep(t, ref, quickSweepBody())
-	id := refResp.Header.Get("X-Sweep-ID")
-
-	srv := New(testConfig())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	stale := newSweepJob(id, []byte("{}\n"), func() {})
-	stale.acquire()
-	srv.registerJob(stale)
-	stale.release() // the only watcher leaves before any trailer
-	if stale.joinable() {
-		t.Fatal("a job whose last watcher left is still joinable")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(quickSweepBody()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST attached to the abandoned job: %v", err)
-	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("POST attached to the abandoned job: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sweep after an abandoned job differs from a fresh server's:\n%s\nvs\n%s", got, want)
-	}
+	waitIdle(t, srv)
 }
 
 // TestSweepDeadlinePartialResults pins the deadline semantics: completed
@@ -506,7 +421,7 @@ func TestSweepBadRequests(t *testing.T) {
 	}
 }
 
-// TestSweepIDStability: the job id is a pure function of the resolved grid —
+// TestSweepIDStability: the sweep id is a pure function of the resolved grid —
 // stable across servers, and different for different grids.
 func TestSweepIDStability(t *testing.T) {
 	idOf := func(body string) string {
@@ -528,44 +443,6 @@ func TestSweepIDStability(t *testing.T) {
 	c := idOf(`{"predictors":["Bim_4k","Gsh_1_16k_12"],"workload":"164.gzip","warmup_insts":2000,"measure_insts":4100}`)
 	if a == c {
 		t.Error("different windows must produce a different sweep id")
-	}
-}
-
-// TestJobRegistryEviction: finished idle jobs beyond the retention bound are
-// evicted oldest-first; watched jobs survive.
-func TestJobRegistryEviction(t *testing.T) {
-	srv := New(testConfig())
-	mk := func(i int, watched bool) *sweepJob {
-		_, cancel := context.WithCancel(context.Background())
-		j := newSweepJob(fmt.Sprintf("sw-%04d", i), []byte("{}\n"), cancel)
-		j.finish([]byte("{\"done\":true}\n"), false)
-		if watched {
-			j.acquire()
-		}
-		return j
-	}
-	watchedJob := mk(0, true)
-	srv.registerJob(watchedJob)
-	for i := 1; i <= maxFinishedJobs+10; i++ {
-		srv.registerJob(mk(i, false))
-	}
-	srv.jobsMu.Lock()
-	n := len(srv.jobs)
-	_, watchedKept := srv.jobs[watchedJob.id]
-	_, oldestEvicted := srv.jobs["sw-0001"]
-	_, newestKept := srv.jobs[fmt.Sprintf("sw-%04d", maxFinishedJobs+10)]
-	srv.jobsMu.Unlock()
-	if n > maxFinishedJobs {
-		t.Errorf("registry holds %d jobs, bound is %d", n, maxFinishedJobs)
-	}
-	if !watchedKept {
-		t.Error("watched job was evicted")
-	}
-	if oldestEvicted {
-		t.Error("oldest idle job survived eviction")
-	}
-	if !newestKept {
-		t.Error("newest job was evicted")
 	}
 }
 

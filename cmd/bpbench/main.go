@@ -1,7 +1,8 @@
 // Command bpbench records the simulator's kernel costs: it runs the core
-// throughput, per-cycle step, power-fold, predictor, commit-scan and
-// reprice microbenchmarks and writes the numbers to BENCH_results.json so
-// later changes can be diffed against them. Figure wall times are the
+// throughput (164.gzip and the memory-bound 179.art), per-cycle step,
+// power-fold, predictor, commit-scan and reprice microbenchmarks and writes
+// the numbers to BENCH_results.json so later changes can be diffed against
+// them. Figure wall times are the
 // repository benchmark's job (benchmark/, the paper_figures workload and its
 // cpu.ns_per_inst layer), not bpbench's.
 //
@@ -28,6 +29,7 @@ import (
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/experiments"
 	"bpredpower/internal/power"
+	"bpredpower/internal/program"
 	"bpredpower/internal/workload"
 )
 
@@ -38,13 +40,19 @@ type result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	WallSeconds float64 `json:"wall_seconds"`
 	Iterations  int     `json:"iterations"`
+	// SkippedShare is the share of simulated cycles Run advanced in closed
+	// form over quiet cycles (throughput entries only).
+	SkippedShare float64 `json:"skipped_share,omitempty"`
 }
 
 type report struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Throughput is the full-pipeline simulation rate; NsPerOp is ns per
 	// committed instruction and AllocsPerOp must stay 0 in steady state.
-	Throughput result `json:"throughput"`
+	// Throughput runs 164.gzip, which is compute-bound; ThroughputArt runs
+	// 179.art, where most cycles wait on memory and are skipped.
+	Throughput    result `json:"throughput"`
+	ThroughputArt result `json:"throughput_art"`
 	// Step is one warm pipeline cycle (fetch through commit plus the power
 	// fold); EndCycle is the power meter's per-cycle kernel alone, keyed
 	// "deferred" (the name -compare looks up).
@@ -76,11 +84,31 @@ func measure(f func(b *testing.B)) result {
 		return result{}
 	}
 	return result{
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		WallSeconds: r.T.Seconds(),
-		Iterations:  r.N,
+		NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp:  r.AllocsPerOp(),
+		BytesPerOp:   r.AllocedBytesPerOp(),
+		WallSeconds:  r.T.Seconds(),
+		Iterations:   r.N,
+		SkippedShare: r.Extra["skipped/cycle"],
+	}
+}
+
+// throughputBench measures Run on prog after a 20k-instruction warm-up, in
+// ns per committed instruction, and reports the skipped share of the
+// measured cycles.
+func throughputBench(prog *program.Program) func(b *testing.B) {
+	return func(b *testing.B) {
+		sim := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
+		defer sim.Release()
+		sim.Run(20000) // warm
+		sim.ResetMeasurement()
+		b.ReportAllocs()
+		b.ResetTimer()
+		sim.Run(uint64(b.N))
+		b.StopTimer()
+		if c := sim.Stats().Cycles; c > 0 {
+			b.ReportMetric(float64(sim.SkippedCycles())/float64(c), "skipped/cycle")
+		}
 	}
 }
 
@@ -132,15 +160,18 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	rep.Throughput = measureBest(func(b *testing.B) {
-		sim := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
-		sim.Run(20000) // warm
-		b.ReportAllocs()
-		b.ResetTimer()
-		sim.Run(uint64(b.N))
-	})
-	fmt.Printf("throughput        %8.1f ns/inst  %d allocs/op\n",
-		rep.Throughput.NsPerOp, rep.Throughput.AllocsPerOp)
+	art, err := workload.ByName("179.art")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
+	rep.Throughput = measureBest(throughputBench(prog))
+	fmt.Printf("throughput        %8.1f ns/inst  %d allocs/op  %.1f%% cycles skipped\n",
+		rep.Throughput.NsPerOp, rep.Throughput.AllocsPerOp, 100*rep.Throughput.SkippedShare)
+	rep.ThroughputArt = measureBest(throughputBench(art.Program()))
+	fmt.Printf("throughput_art    %8.1f ns/inst  %d allocs/op  %.1f%% cycles skipped\n",
+		rep.ThroughputArt.NsPerOp, rep.ThroughputArt.AllocsPerOp, 100*rep.ThroughputArt.SkippedShare)
 
 	rep.Step = measureBest(func(b *testing.B) {
 		sim := cpu.MustNew(prog, cpu.Options{Predictor: bpred.Hybrid1})
@@ -282,6 +313,9 @@ func compareReports(oldPath string, newRep report) bool {
 	}
 	entries := []entry{
 		{"throughput", oldRep.Throughput, newRep.Throughput},
+	}
+	if oldRep.ThroughputArt.Iterations > 0 {
+		entries = append(entries, entry{"throughput_art", oldRep.ThroughputArt, newRep.ThroughputArt})
 	}
 	if oldRep.Step.Iterations > 0 {
 		entries = append(entries, entry{"step", oldRep.Step, newRep.Step})

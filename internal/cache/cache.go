@@ -291,6 +291,17 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
+// tlbHintBits sizes a TLB's page hint table at 1<<tlbHintBits slots.
+const tlbHintBits = 8
+
+// hintSlot hashes a VPN to its hint slot. The multiplicative (Fibonacci)
+// hash folds the high VPN bits in: the data regions of a program sit at
+// large power-of-two distances, so their pages agree in their low VPN bits,
+// and a mask would send pages touched in lockstep to the same slot.
+//
+//bp:hotpath
+func hintSlot(vpn uint64) uint64 { return (vpn * 0x9e3779b97f4a7c15) >> (64 - tlbHintBits) }
+
 // TLB is a fully-associative translation lookaside buffer with LRU
 // replacement and a fixed miss penalty.
 type TLB struct {
@@ -304,6 +315,13 @@ type TLB struct {
 	// single compare instead of a full associative scan; statistics and LRU
 	// state are updated identically on either path.
 	mru int
+	// hint maps a page (by hintSlot) to the entry that last held a page
+	// with that hash, so a hit off the MRU entry is one verified compare
+	// rather than a scan. A VPN is resident in at most one entry, so a hint
+	// that verifies names the entry the scan would find; a stale or
+	// colliding hint just falls back to the scan. Misses always scan, so
+	// victims are chosen exactly as without the hint.
+	hint [1 << tlbHintBits]int32
 }
 
 // NewTLB builds a TLB with the given entry count, page size, and miss
@@ -343,6 +361,13 @@ func (t *TLB) Access(addr uint64) int {
 		t.stats.Hits++
 		return 0
 	}
+	h := &t.hint[hintSlot(vpn)]
+	if i := int(*h); t.entries[i].valid && t.entries[i].tag == vpn {
+		t.entries[i].lru = t.clock
+		t.stats.Hits++
+		t.mru = i
+		return 0
+	}
 	victim := 0
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -350,6 +375,7 @@ func (t *TLB) Access(addr uint64) int {
 			e.lru = t.clock
 			t.stats.Hits++
 			t.mru = i
+			*h = int32(i)
 			return 0
 		}
 		if !e.valid {
@@ -361,6 +387,7 @@ func (t *TLB) Access(addr uint64) int {
 	t.stats.Misses++
 	t.entries[victim] = line{valid: true, tag: vpn, lru: t.clock}
 	t.mru = victim
+	*h = int32(victim)
 	return t.missPen
 }
 
@@ -375,4 +402,5 @@ func (t *TLB) Reset() {
 	t.clock = 0
 	t.stats = Stats{}
 	t.mru = 0
+	clear(t.hint[:])
 }

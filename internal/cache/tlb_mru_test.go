@@ -96,3 +96,68 @@ func TestTLBResetClearsMRU(t *testing.T) {
 		t.Fatal("hit on an invalidated entry after Reset")
 	}
 }
+
+// The page hint is an optimization only: on seeded streams over a
+// Table 1-sized TLB — working sets below and above its 128 entries, pages
+// that share a hint slot, pages whose VPNs are equal modulo the hint size,
+// and MRU repeats — every access must return the scan-only reference's
+// latency, and the counters and the final entries (tags, LRU stamps, hence
+// every victim chosen) must match.
+func TestTLBHintMatchesScan(t *testing.T) {
+	const entries, pageBytes, missPen = 128, 8192, 30
+	const hintSize = 1 << tlbHintBits
+	// 24 pages sharing the hint slot of 0x4000, a page of the fitting set.
+	var collide []uint64
+	for v := uint64(0x4000); len(collide) < 24; v++ {
+		if hintSlot(v) == hintSlot(0x4000) {
+			collide = append(collide, v)
+		}
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		tlb := NewTLB(entries, pageBytes, missPen)
+		ref := newRefTLB(entries, tlb.pageBits)
+		var want Stats
+		seq := seed * 0x9e3779b97f4a7c15
+		vpn := uint64(0)
+		for i := 0; i < 100000; i++ {
+			seq = seq*6364136223846793005 + 1442695040888963407
+			r := seq >> 33
+			switch (seq >> 60) % 5 {
+			case 0: // repeat the last page (MRU)
+			case 1: // a working set that fits
+				vpn = 0x4000 + r%96
+			case 2: // a working set of 300 pages, over capacity
+				vpn = 0x8000 + r%300
+			case 3: // pages equal modulo the hint size
+				vpn = 0x10000 + (r%24)*hintSize
+			default: // pages sharing one hint slot
+				vpn = collide[r%uint64(len(collide))]
+			}
+			addr := vpn*pageBytes + r%pageBytes
+			lat := tlb.Access(addr)
+			wantLat := missPen
+			want.Accesses++
+			if ref.access(addr) {
+				wantLat = 0
+				want.Hits++
+			} else {
+				want.Misses++
+			}
+			if lat != wantLat {
+				t.Fatalf("seed %d access %d (vpn %#x): latency %d, reference %d", seed, i, vpn, lat, wantLat)
+			}
+		}
+		if got := tlb.Stats(); got != want {
+			t.Fatalf("seed %d: stats %+v, reference %+v", seed, got, want)
+		}
+		if want.Hits == 0 || want.Misses == 0 {
+			t.Fatalf("seed %d: degenerate stream %+v", seed, want)
+		}
+		for i, e := range tlb.entries {
+			if e.valid != ref.valid[i] || e.tag != ref.tags[i] || e.lru != ref.lru[i] {
+				t.Fatalf("seed %d: entry %d = %+v, reference valid=%v tag=%#x lru=%d",
+					seed, i, e, ref.valid[i], ref.tags[i], ref.lru[i])
+			}
+		}
+	}
+}

@@ -171,6 +171,10 @@ type Sim struct {
 	linePredValid []bool
 
 	stats Stats
+	// skipped counts the cycles since the last ResetMeasurement that Run
+	// advanced in closed form (skipQuiet); they are included in
+	// stats.Cycles.
+	skipped uint64 //bp:unit cycle
 }
 
 // normalizeOptions applies New's defaulting — the zero Config means
@@ -429,14 +433,132 @@ func (s *Sim) RunTo(target uint64) {
 
 // runBlock steps up to block cycles, stopping early once target instructions
 // have committed. The cycle bound is a local countdown so the hot loop
-// re-reads only the commit counter.
+// re-reads only the commit counter. Before a cycle with nothing ready to
+// issue, skipQuiet advances the clock over the provably quiet cycles that
+// start there; a jump never crosses a writeback or a commit, so the stops
+// fall on the same cycles as when stepping.
 //
 //bp:hotpath
 func (s *Sim) runBlock(block, target uint64) {
-	for ; block > 0 && s.stats.Committed < target; block-- {
+	for block > 0 && s.stats.Committed < target {
+		if !s.anyReady() {
+			if block -= s.skipQuiet(block); block == 0 {
+				return
+			}
+		}
 		s.step()
+		block--
 	}
 }
+
+// skipQuiet advances the clock over the quiet cycles starting at the
+// current one, at most block of them, and returns how many it skipped. A
+// cycle is quiet when step would change nothing but the clock (and, with
+// fetch gated, the gated-cycle count): nothing is issue-ready (the caller's
+// check), nothing writes back, the head has not completed, commit has no L2
+// accesses left to charge, dispatch is blocked and fetch is inactive. Those
+// conditions hold until the first writeback, the end of the fetch stall, or
+// the fetch-queue head's arrival at dispatch, so the skip stops at the
+// earliest of them. StepCycle never skips; it is the reference the jump is
+// tested against.
+//
+//bp:hotpath
+func (s *Sim) skipQuiet(block uint64) uint64 {
+	if s.rowBusy(s.cycle) {
+		return 0 // the commonest reason: a writeback this cycle
+	}
+	hs := int(s.headID) & int(s.robMask)
+	if s.doneBits[hs>>6]&(1<<uint(hs&63)) != 0 {
+		return 0
+	}
+	// commit charges the L2 accesses the previous cycle pushed down.
+	if s.l2.Stats().Accesses != s.lastL2Accesses {
+		return 0
+	}
+	end := s.cycle + block
+	// Dispatch: an empty fetch queue, a full ROB and a full LSQ ahead of a
+	// memory op each last until a writeback; otherwise the queue head must
+	// still be in the front-end pipe.
+	if s.fqLen > 0 && s.robCount() < s.cfg.RUUSize &&
+		(s.fq.flags[s.fqHead]&fIsMem == 0 || s.lsqUsed < s.cfg.LSQSize) {
+		r := s.fq.readyAt[s.fqHead]
+		if r <= s.cycle {
+			return 0
+		}
+		end = min(end, r)
+	}
+	// Fetch, tested in fetch's own order: a stall ends at fetchStallUntil; a
+	// halt, the gate and a full queue each last until a writeback.
+	gated := false
+	if s.cycle < s.fetchStallUntil {
+		end = min(end, s.fetchStallUntil)
+	} else if !s.fetchHalted {
+		if s.gate.ShouldStallFetch() {
+			gated = true
+		} else if s.fqLen < s.fqCap {
+			return 0
+		}
+	}
+	k := s.nextWriteback(end) - s.cycle
+	s.cycle += k
+	s.stats.Cycles += k
+	s.meter.EndCycles(k)
+	if gated {
+		s.stats.GatedCycles += k
+	}
+	s.skipped += k
+	return k
+}
+
+// anyReady reports whether any entry is waiting to issue.
+//
+//bp:hotpath
+func (s *Sim) anyReady() bool {
+	for _, w := range s.readyBits {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// rowBusy reports whether any entry writes back in cycle c (which must lie
+// within wheelRows cycles of the current one).
+//
+//bp:hotpath
+func (s *Sim) rowBusy(c uint64) bool {
+	row := s.wheel[int(c&s.wheelMask)*s.nw:]
+	for _, w := range row[:s.nw] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// nextWriteback returns the first cycle in (s.cycle, end) with a writeback,
+// or end; the current cycle's row is known empty. Every issued entry
+// completes within wheelRows cycles of the current one, so when that many
+// rows are empty no writeback is pending at all.
+//
+//bp:hotpath
+func (s *Sim) nextWriteback(end uint64) uint64 {
+	n := min(end-s.cycle, s.wheelRows)
+	for i := uint64(1); i < n; i++ {
+		if s.rowBusy(s.cycle + i) {
+			return s.cycle + i
+		}
+	}
+	return end
+}
+
+// SkippedCycles returns how many of Stats().Cycles Run advanced in closed
+// form over quiet cycles since the last ResetMeasurement. It is a
+// deterministic work counter, kept out of Stats so that Stats reads the
+// same however the cycles were simulated.
+//
+//bp:unit cycle
+func (s *Sim) SkippedCycles() uint64 { return s.skipped }
 
 // StepCycle advances the machine exactly one cycle. It exists for
 // micro-benchmarks and tests that need cycle-granular control; bulk
@@ -447,6 +569,7 @@ func (s *Sim) StepCycle() { s.step() }
 // all microarchitectural state warm — call after a warm-up run.
 func (s *Sim) ResetMeasurement() {
 	s.stats = Stats{}
+	s.skipped = 0
 	s.meter.Reset()
 }
 

@@ -23,7 +23,6 @@ func (s *Sim) fetch() {
 		return
 	}
 	if s.gate.ShouldStallFetch() {
-		s.gate.NoteGatedCycle()
 		s.stats.GatedCycles++
 		return
 	}

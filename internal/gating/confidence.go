@@ -104,10 +104,3 @@ func (j *JRS) Train(pc uint64, correct bool) {
 
 // Entries returns the table size (for the power model).
 func (j *JRS) Entries() int { return len(j.counters) }
-
-// Reset clears the table.
-func (j *JRS) Reset() {
-	for i := range j.counters {
-		j.counters[i] = 0
-	}
-}

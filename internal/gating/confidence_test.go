@@ -63,16 +63,6 @@ func TestJRSAliasing(t *testing.T) {
 	}
 }
 
-func TestJRSReset(t *testing.T) {
-	j := NewJRS(64, 2)
-	j.Train(0x10, true)
-	j.Train(0x10, true)
-	j.Reset()
-	if j.HighConfidence(0x10) {
-		t.Error("Reset kept confidence")
-	}
-}
-
 func TestJRSBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

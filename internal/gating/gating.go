@@ -34,8 +34,6 @@ type Gate struct {
 	cfg      Config
 	jrs      *JRS
 	inFlight int
-
-	lowConfFetched, gatedCycles uint64
 }
 
 // New builds a gate; a nil-safe disabled gate is returned for a disabled
@@ -73,7 +71,6 @@ func (g *Gate) OnFetchBranch(highConfidence bool) {
 		return
 	}
 	g.inFlight++
-	g.lowConfFetched++
 }
 
 // OnRemoveBranch records that a previously fetched low-confidence branch
@@ -97,23 +94,5 @@ func (g *Gate) ShouldStallFetch() bool {
 	return g.cfg.Enabled && g.inFlight > g.cfg.Threshold
 }
 
-// NoteGatedCycle accumulates the gated-cycle statistic; call once per cycle
-// in which fetch was stalled by the gate.
-//
-//bp:hotpath
-func (g *Gate) NoteGatedCycle() { g.gatedCycles++ }
-
 // InFlight returns the current low-confidence branch count M.
 func (g *Gate) InFlight() int { return g.inFlight }
-
-// Stats returns (low-confidence branches fetched, cycles gated).
-func (g *Gate) Stats() (lowConf, gated uint64) { return g.lowConfFetched, g.gatedCycles }
-
-// Reset clears in-flight state and statistics.
-func (g *Gate) Reset() {
-	g.inFlight = 0
-	g.lowConfFetched, g.gatedCycles = 0, 0
-	if g.jrs != nil {
-		g.jrs.Reset()
-	}
-}

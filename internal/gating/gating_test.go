@@ -60,17 +60,19 @@ func TestInFlightNeverNegative(t *testing.T) {
 	}
 }
 
+// The gate's only state is M, the in-flight low-confidence count: gated
+// cycles and low-confidence fetches are counted once, in cpu.Stats.
 func TestStatsAndReset(t *testing.T) {
 	g := New(Config{Enabled: true, Threshold: 1})
 	g.OnFetchBranch(false)
+	g.OnFetchBranch(true)
 	g.OnFetchBranch(false)
-	g.NoteGatedCycle()
-	low, gated := g.Stats()
-	if low != 2 || gated != 1 {
-		t.Errorf("stats = %d/%d", low, gated)
+	if g.InFlight() != 2 || !g.ShouldStallFetch() {
+		t.Fatalf("M = %d, stall = %v; want 2, true", g.InFlight(), g.ShouldStallFetch())
 	}
-	g.Reset()
-	if low, gated = g.Stats(); low != 0 || gated != 0 || g.InFlight() != 0 {
-		t.Error("reset incomplete")
+	g.OnRemoveBranch(true)
+	g.OnRemoveBranch(false)
+	if g.InFlight() != 1 || g.ShouldStallFetch() {
+		t.Errorf("M = %d, stall = %v; want 1, false", g.InFlight(), g.ShouldStallFetch())
 	}
 }

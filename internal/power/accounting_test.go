@@ -211,3 +211,45 @@ func TestAccountingReset(t *testing.T) {
 		}
 	}
 }
+
+// EndCycles(k) must be exactly k EndCycle calls: a meter that advances idle
+// stretches in closed form reports the same activity vector and the same
+// energies, bit for bit, as one stepped cycle by cycle, including for a unit
+// first touched right after a jump.
+func TestEndCyclesMatchesEndCycle(t *testing.T) {
+	for _, style := range []GatingStyle{CC0, CC1, CC2, CC3} {
+		stepped, jumped := NewMeter(1.25e-9), NewMeter(1.25e-9)
+		stepped.Style, jumped.Style = style, style
+		var su, ju []*Unit
+		for i := 0; i < 6; i++ {
+			name := fmt.Sprintf("u%d", i)
+			su = append(su, stepped.Add(NewFixedUnit(name, GroupALU, float64(i+1)*1e-11, 2)))
+			ju = append(ju, jumped.Add(NewFixedUnit(name, GroupALU, float64(i+1)*1e-11, 2)))
+		}
+		rng := xrand.NewSplitMix(0x1d1e + uint64(style))
+		for c := 0; c < 400; c++ {
+			i := rng.Intn(len(su))
+			su[i].Read(1 + i%2)
+			ju[i].Read(1 + i%2)
+			stepped.EndCycle()
+			jumped.EndCycle()
+			idle := uint64(rng.Intn(40))
+			for k := uint64(0); k < idle; k++ {
+				stepped.EndCycle()
+			}
+			jumped.EndCycles(idle)
+		}
+		sa, ja := stepped.Activity(), jumped.Activity()
+		if sa.Cycles != ja.Cycles {
+			t.Fatalf("%s: cycles %d stepped, %d jumped", style, sa.Cycles, ja.Cycles)
+		}
+		for i := range sa.Units {
+			if sa.Units[i] != ja.Units[i] {
+				t.Errorf("%s: unit %d stepped %+v, jumped %+v", style, i, sa.Units[i], ja.Units[i])
+			}
+		}
+		if s, j := stepped.TotalEnergy(), jumped.TotalEnergy(); math.Float64bits(s) != math.Float64bits(j) {
+			t.Errorf("%s: total energy %v stepped, %v jumped", style, s, j)
+		}
+	}
+}

@@ -362,6 +362,15 @@ func (m *Meter) idlePerCycle() float64 {
 //bp:hotpath
 func (m *Meter) EndCycle() { m.cycles++ }
 
+// EndCycles advances the accounting clock by k cycles in which no unit was
+// accessed: the closed form of k EndCycle calls. Idle energy is folded from
+// elapsed cycles at read time, and a unit's next access compares its stamp
+// against the advanced clock, so nothing else needs to move.
+//
+//bp:hotpath
+//bp:unit k cycle
+func (m *Meter) EndCycles(k uint64) { m.cycles += k }
+
 // ClockEnergy returns the clock tree's accumulated energy in joules, folded
 // from the lifetime counters: a base term proportional to registered
 // capacity and elapsed cycles, plus an activity term proportional to total

@@ -85,8 +85,9 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # Bench smoke: the hot-loop microbenchmarks must run (and stay allocation-
-# free in the throughput loop) even at a token iteration count.
-go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorStep$|BenchmarkMeterEndCycle' -benchtime 100x .
+# free in the throughput loops, compute-bound gzip and memory-bound art) even
+# at a token iteration count.
+go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorThroughputArt$|BenchmarkSimulatorStep$|BenchmarkMeterEndCycle' -benchtime 100x .
 
 # Figure-output byte identity: regenerating the full experiment suite must
 # reproduce the committed experiments_output.txt exactly — the accounting

@@ -1,16 +1,15 @@
 // Taxonomy: evaluate the full two-level predictor taxonomy — the paper's
 // fourteen configurations plus the library's extensions (static baselines,
-// GAg, gselect, PAg) — on a recorded branch trace, the fast sim-bpred-style
-// methodology (predictor only, no pipeline).
+// GAg, gselect, PAg) — on a committed-path branch stream, the fast
+// sim-bpred-style methodology (predictor only, no pipeline).
 //
 // This demonstrates two library facilities beyond the paper's experiments:
-// the EIO-like trace record/replay path, and the extension predictors.
+// the EIO-like branch-stream record/replay path, and the extension predictors.
 //
 //	go run ./examples/taxonomy
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -26,24 +25,15 @@ func main() {
 	}
 
 	// Record the committed-path branch stream once.
-	var buf bytes.Buffer
-	n, err := trace.Record(bench.Program(), 2_000_000, &buf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data := buf.Bytes()
-	fmt.Printf("%s: %d branches from 2M instructions (%.1f KB trace)\n\n",
-		bench.Name, n, float64(len(data))/1024)
+	branches := trace.Record(bench.Program(), 2_000_000)
+	fmt.Printf("%s: %d branches from 2M instructions\n\n", bench.Name, len(branches))
 
 	specs := append(append([]bpredpower.PredictorSpec{},
 		bpredpower.ExtensionConfigs()...), bpredpower.PaperConfigs()...)
 
 	fmt.Printf("%-16s %8s %10s\n", "predictor", "Kbits", "accuracy")
 	for _, spec := range specs {
-		res, err := trace.Eval(bytes.NewReader(data), bpred.Spec(spec))
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := trace.Eval(branches, bpred.Spec(spec))
 		fmt.Printf("%-16s %8d %9.3f%%\n", spec.Name, spec.TotalBits()/1024, 100*res.Accuracy())
 	}
 

@@ -1,27 +1,22 @@
-// Package trace records and replays dynamic conditional-branch streams —
-// the repository's analogue of the paper's EIO traces ("we use Alpha EIO
-// traces ... this ensures reproducible results for each benchmark across
-// multiple simulations").
+// Package trace records and replays committed-path conditional-branch
+// streams — the repository's analogue of the paper's EIO traces ("we use
+// Alpha EIO traces ... this ensures reproducible results for each benchmark
+// across multiple simulations").
 //
-// A branch trace is the committed-path sequence of (PC, taken) pairs. It is
-// sufficient to drive predictor-only evaluation (the SimpleScalar sim-bpred
-// methodology) and to compare predictor implementations against archived
-// streams independent of the workload generator's evolution.
-//
-// Format (little-endian): an 8-byte magic, then one record per branch:
-// a varint PC delta from the previous branch PC (zig-zag encoded) shifted
-// left one bit with the taken flag in bit 0. The stream ends at EOF.
+// The same guarantee comes from the program walker: a benchmark's committed
+// path is a pure function of its generated program, so Record returns the
+// same stream on every call and no stream is archived. Eval replays a stream
+// through one predictor configuration the way SimpleScalar's sim-bpred does
+// (predictor only, no pipeline timing). testdata/eval.golden pins Eval's
+// results for every configuration on one benchmark, so a change to the
+// walker, the generator or a predictor shows up as a diff.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
+	"bpredpower/internal/bpred"
+	"bpredpower/internal/isa"
+	"bpredpower/internal/program"
 )
-
-var traceMagic = [8]byte{'B', 'P', 'T', 'R', 'A', 'C', 'E', '1'}
 
 // Branch is one committed conditional branch execution.
 type Branch struct {
@@ -31,127 +26,57 @@ type Branch struct {
 	Taken bool
 }
 
-// Writer streams branch records to an io.Writer.
-type Writer struct {
-	w          *bufio.Writer
-	lastPC     uint64
-	count      uint64
-	headerDone bool
-}
-
-// NewWriter builds a trace writer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// zigzag encodes a signed delta as unsigned.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// MaxPC bounds recordable addresses: the taken flag shares the varint with
-// the zig-zag PC delta, which leaves 62 usable address bits — far beyond
-// any realistic text segment.
-const MaxPC = 1 << 62
-
-// Write appends one branch record.
-func (w *Writer) Write(b Branch) error {
-	if b.PC >= MaxPC {
-		return fmt.Errorf("trace: PC %#x exceeds the %#x encoding limit", b.PC, uint64(MaxPC))
-	}
-	if !w.headerDone {
-		if _, err := w.w.Write(traceMagic[:]); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		w.headerDone = true
-	}
-	delta := zigzag(int64(b.PC) - int64(w.lastPC))
-	w.lastPC = b.PC
-	word := delta << 1
-	if b.Taken {
-		word |= 1
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], word)
-	if _, err := w.w.Write(buf[:n]); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush commits buffered records to the underlying writer.
-func (w *Writer) Flush() error {
-	if !w.headerDone {
-		// Write the header even for an empty trace so it round-trips.
-		if _, err := w.w.Write(traceMagic[:]); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		w.headerDone = true
-	}
-	return w.w.Flush()
-}
-
-// Reader streams branch records from an io.Reader.
-type Reader struct {
-	r       *bufio.Reader
-	lastPC  uint64
-	started bool
-}
-
-// NewReader builds a trace reader.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// Read returns the next branch record; io.EOF signals a clean end.
-func (r *Reader) Read() (Branch, error) {
-	if !r.started {
-		var magic [8]byte
-		if _, err := io.ReadFull(r.r, magic[:]); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return Branch{}, fmt.Errorf("trace: truncated header")
-			}
-			return Branch{}, err
-		}
-		if magic != traceMagic {
-			return Branch{}, fmt.Errorf("trace: bad magic %q", magic[:])
-		}
-		r.started = true
-	}
-	word, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Branch{}, io.EOF
-		}
-		return Branch{}, fmt.Errorf("trace: %w", err)
-	}
-	taken := word&1 == 1
-	pc := uint64(int64(r.lastPC) + unzigzag(word>>1))
-	// Enforce the Writer's address bound on the decode side too: a crafted
-	// or corrupted delta must not produce a branch the encoder would refuse,
-	// so every successfully decoded stream re-encodes bit-for-bit.
-	if pc >= MaxPC {
-		return Branch{}, fmt.Errorf("trace: decoded PC %#x exceeds the %#x encoding limit", pc, uint64(MaxPC))
-	}
-	r.lastPC = pc
-	return Branch{PC: pc, Taken: taken}, nil
-}
-
-// ReadAll drains the trace (for tests and small traces).
-func (r *Reader) ReadAll() ([]Branch, error) {
+// Record walks prog for n instructions and returns its committed-path
+// conditional branch stream, in program order.
+func Record(prog *program.Program, n uint64) []Branch {
 	var out []Branch
-	for {
-		b, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
+	walker := program.NewWalker(prog)
+	for i := uint64(0); i < n; i++ {
+		st := walker.Step()
+		if st.SI.Class == isa.ClassBranch {
+			out = append(out, Branch{PC: st.SI.PC, Taken: st.Taken})
 		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, b)
 	}
+	return out
+}
+
+// EvalResult is one predictor's accuracy over a branch stream — the
+// SimpleScalar sim-bpred methodology (predictor-only, no pipeline timing).
+type EvalResult struct {
+	// Name is the predictor configuration name.
+	Name string
+	// Branches is the number of branches evaluated.
+	Branches uint64
+	// Correct is the number predicted in the right direction.
+	Correct uint64
+}
+
+// Accuracy returns the direction-prediction rate.
+func (r EvalResult) Accuracy() float64 {
+	if r.Branches == 0 {
+		return 0
+	}
+	return float64(r.Correct) / float64(r.Branches)
+}
+
+// Eval replays branches through one predictor configuration, training at
+// every branch (immediate update, the sim-bpred idealization: no
+// speculation, so histories are always architectural). It only reads
+// branches, so several Evals may share one slice concurrently.
+func Eval(branches []Branch, spec bpred.Spec) EvalResult {
+	pred := spec.Build()
+	res := EvalResult{Name: spec.Name, Branches: uint64(len(branches))}
+	// pr escapes through the interface calls below; declaring it once keeps
+	// that to one heap allocation per Eval instead of one per branch.
+	var pr bpred.Prediction
+	for _, b := range branches {
+		pr = pred.Lookup(b.PC)
+		if pr.Taken == b.Taken {
+			res.Correct++
+		} else {
+			pred.Redirect(&pr, b.Taken)
+		}
+		pred.Update(&pr, b.Taken)
+	}
+	return res
 }

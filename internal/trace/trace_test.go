@@ -1,108 +1,12 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
-	"io"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"bpredpower/internal/bpred"
 	"bpredpower/internal/program"
 )
-
-func TestRoundTripExact(t *testing.T) {
-	in := []Branch{
-		{PC: 0x120000000, Taken: true},
-		{PC: 0x120000010, Taken: false},
-		{PC: 0x120000004, Taken: true}, // backward delta
-		{PC: 0x120000004, Taken: false},
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, b := range in {
-		if err := w.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d records, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("record %d: got %+v, want %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	f := func(pcs []uint64, takens []bool) bool {
-		n := len(pcs)
-		if len(takens) < n {
-			n = len(takens)
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		in := make([]Branch, 0, n)
-		for i := 0; i < n; i++ {
-			// Addresses are bounded by the encoding contract (MaxPC).
-			b := Branch{PC: pcs[i] % MaxPC, Taken: takens[i]}
-			in = append(in, b)
-			if err := w.Write(b); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		out, err := NewReader(&buf).ReadAll()
-		if err != nil || len(out) != len(in) {
-			return false
-		}
-		for i := range in {
-			if out[i] != in[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEmptyTraceRoundTrips(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewReader(&buf).ReadAll()
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty trace: %v, %d records", err, len(out))
-	}
-}
-
-func TestBadMagicRejected(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("NOTATRACE")))
-	if _, err := r.Read(); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestTruncatedHeaderRejected(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("BPT")))
-	if _, err := r.Read(); err == nil || errors.Is(err, io.EOF) {
-		t.Error("truncated header should be a hard error")
-	}
-}
 
 func testProg(t *testing.T) *program.Program {
 	t.Helper()
@@ -118,58 +22,48 @@ func testProg(t *testing.T) *program.Program {
 	})
 }
 
+// recordAndEval records n instructions of prog and evaluates every spec on
+// the recorded stream, in order.
+func recordAndEval(t *testing.T, prog *program.Program, n uint64, specs []bpred.Spec) []EvalResult {
+	t.Helper()
+	branches := Record(prog, n)
+	out := make([]EvalResult, len(specs))
+	for i, spec := range specs {
+		out[i] = Eval(branches, spec)
+	}
+	return out
+}
+
 func TestRecordProducesBranchStream(t *testing.T) {
 	p := testProg(t)
-	var buf bytes.Buffer
-	n, err := Record(p, 100000, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
+	out := Record(p, 100000)
+	if len(out) == 0 {
 		t.Fatal("no branches recorded")
 	}
-	out, err := NewReader(&buf).ReadAll()
-	if err != nil || uint64(len(out)) != n {
-		t.Fatalf("read back %d records (err %v), wrote %d", len(out), err, n)
-	}
-	// Every PC in the trace must be a conditional branch in the image.
-	for _, b := range out[:100] {
+	// Every PC in the stream must be a conditional branch in the image.
+	for i, b := range out {
 		si := p.InstAt(b.PC)
 		if si == nil || !si.Class.IsCondBranch() {
-			t.Fatalf("trace record %+v is not a conditional branch", b)
+			t.Fatalf("record %d %+v is not a conditional branch", i, b)
 		}
 	}
 }
 
 func TestRecordDeterministic(t *testing.T) {
 	p := testProg(t)
-	var a, b bytes.Buffer
-	Record(p, 50000, &a)
-	Record(p, 50000, &b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("identical programs produced different traces")
+	if !slices.Equal(Record(p, 50000), Record(p, 50000)) {
+		t.Error("identical programs produced different streams")
 	}
 }
 
 func TestEvalOrdersPredictors(t *testing.T) {
 	p := testProg(t)
-	var buf bytes.Buffer
-	if _, err := Record(p, 400000, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	eval := func(spec bpred.Spec) float64 {
-		r, err := Eval(bytes.NewReader(data), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Accuracy()
-	}
-	bim := eval(bpred.Bim16k)
-	gsh := eval(bpred.Gsh16k12)
-	tiny := eval(bpred.Bim128)
+	branches := Record(p, 400000)
+	bim := Eval(branches, bpred.Bim16k).Accuracy()
+	gsh := Eval(branches, bpred.Gsh16k12).Accuracy()
+	tiny := Eval(branches, bpred.Bim128).Accuracy()
 	if gsh <= bim {
-		t.Errorf("gshare (%.4f) should beat bimodal (%.4f) on a correlated trace", gsh, bim)
+		t.Errorf("gshare (%.4f) should beat bimodal (%.4f) on a correlated stream", gsh, bim)
 	}
 	if tiny >= bim {
 		t.Errorf("Bim_128 (%.4f) should trail Bim_16k (%.4f)", tiny, bim)
@@ -178,24 +72,12 @@ func TestEvalOrdersPredictors(t *testing.T) {
 
 func TestEvalMatchesCountHeader(t *testing.T) {
 	p := testProg(t)
-	var buf bytes.Buffer
-	n, _ := Record(p, 30000, &buf)
-	r, err := Eval(&buf, bpred.Bim4k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Branches != n {
-		t.Errorf("evaluated %d branches, trace has %d", r.Branches, n)
+	branches := Record(p, 30000)
+	r := Eval(branches, bpred.Bim4k)
+	if r.Branches != uint64(len(branches)) {
+		t.Errorf("evaluated %d branches, stream has %d", r.Branches, len(branches))
 	}
 	if r.Accuracy() <= 0.5 {
 		t.Errorf("accuracy %.4f implausible", r.Accuracy())
-	}
-}
-
-func TestZigzag(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, 1 << 40, -(1 << 40), -9223372036854775808 + 1} {
-		if unzigzag(zigzag(v)) != v {
-			t.Errorf("zigzag round trip failed for %d", v)
-		}
 	}
 }

@@ -44,13 +44,12 @@ for ex in examples/*/; do
     go run "./$ex" > /dev/null
 done
 
-# Fuzz smoke: the branch-trace decoder, the sweep-grid decoder and the
-# store's activity-entry decoder must survive sustained fuzzing with no
-# crashes or invariant violations. The engine minimizes every input that
-# finds new coverage, running the fuzz body a number of times quadratic in
-# the input's length: one multi-KB activity entry takes longer than the whole
-# 5 s window, so each minimization is capped at 100 runs of the body.
-go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/trace
+# Fuzz smoke: the sweep-grid decoder and the store's activity-entry decoder
+# must survive sustained fuzzing with no crashes or invariant violations. The
+# engine minimizes every input that finds new coverage, running the fuzz body
+# a number of times quadratic in the input's length: one multi-KB activity
+# entry takes longer than the whole 5 s window, so each minimization is
+# capped at 100 runs of the body.
 (cd internal/service && go test -run '^$' -fuzz '^FuzzSweepRequestDecode$' -fuzztime 5s -fuzzminimizetime 100x .)
 go test -run '^$' -fuzz '^FuzzActivityEntryDecode$' -fuzztime 5s -fuzzminimizetime 100x ./internal/resultstore
 
@@ -113,6 +112,13 @@ grep -q "Perceptron_64k" "$tmp/modern.txt"
 go run ./cmd/bpsweep -pred TAGE_64k | grep "tage4" > /dev/null
 go run ./cmd/bpsweep -pred Perceptron_64k | grep "weights" > /dev/null
 echo "extension smoke: modern-predictor sweep and per-table reports run"
+
+# Branch-stream smoke: bptrace walks a benchmark once and evaluates the paper
+# and extension configurations over the in-memory stream.
+go run ./cmd/bptrace -bench 164.gzip -n 200000 -ext > "$tmp/bptrace.txt"
+grep '^TAGE_64k ' "$tmp/bptrace.txt" > /dev/null
+grep '^Static_nottaken ' "$tmp/bptrace.txt" > /dev/null
+echo "bptrace smoke: paper and extension rows evaluated over one in-memory stream"
 
 # Fold correctness is gated by TestFoldMatchesSimulationAcrossPlan, run by
 # `go test -race ./...` above: every distinct job of the full figure plan at

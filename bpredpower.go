@@ -78,7 +78,8 @@ type (
 	GatingConfig = gating.Config
 	// PPDScenario selects the prediction probe detector timing scenario.
 	PPDScenario = ppd.Scenario
-	// Harness memoizes experiment runs.
+	// Harness prints the paper's figures from runs resolved through its
+	// RunCache.
 	Harness = experiments.Harness
 	// RunConfig sets experiment simulation lengths.
 	RunConfig = experiments.RunConfig
@@ -169,7 +170,8 @@ var (
 	QuickRuns = experiments.Quick
 )
 
-// NewHarness builds an experiment harness that memoizes programs and runs.
+// NewHarness builds an experiment harness over its own unbounded RunCache,
+// which memoizes program images and simulation records.
 func NewHarness(rc RunConfig) *Harness { return experiments.NewHarness(rc) }
 
 // Confidence estimators for pipeline gating. The paper evaluates

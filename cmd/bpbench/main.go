@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -280,7 +281,7 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 
 	if *compare != "" {
-		if !compareReports(*compare, rep) {
+		if !compareReports(os.Stdout, *compare, rep) {
 			os.Exit(1)
 		}
 	}
@@ -290,12 +291,13 @@ func main() {
 const regressionThreshold = 0.15
 
 // compareReports diffs the new microbenchmark numbers against the report in
-// oldPath, printing a delta line per entry. It returns false when any entry
+// oldPath, printing a delta line per entry to w. An entry the baseline lacks
+// is printed as "(no baseline; not gated)". It returns false when any entry
 // present in both reports got slower by more than regressionThreshold
 // (relative) and by more than 5 ns (absolute — few-ns deltas on small loops
 // are layout and scheduler jitter, not regressions), or when a previously
 // allocation-free entry now allocates.
-func compareReports(oldPath string, newRep report) bool {
+func compareReports(w io.Writer, oldPath string, newRep report) bool {
 	data, err := os.ReadFile(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bpbench: -compare: %v\n", err)
@@ -313,39 +315,32 @@ func compareReports(oldPath string, newRep report) bool {
 	}
 	entries := []entry{
 		{"throughput", oldRep.Throughput, newRep.Throughput},
+		{"throughput_art", oldRep.ThroughputArt, newRep.ThroughputArt},
+		{"step", oldRep.Step, newRep.Step},
+		{"end_cycle/deferred", oldRep.EndCycle["deferred"], newRep.EndCycle["deferred"]},
 	}
-	if oldRep.ThroughputArt.Iterations > 0 {
-		entries = append(entries, entry{"throughput_art", oldRep.ThroughputArt, newRep.ThroughputArt})
-	}
-	if oldRep.Step.Iterations > 0 {
-		entries = append(entries, entry{"step", oldRep.Step, newRep.Step})
-	}
-	if o, ok := oldRep.EndCycle["deferred"]; ok {
-		if n, ok := newRep.EndCycle["deferred"]; ok {
-			entries = append(entries, entry{"end_cycle/deferred", o, n})
-		}
-	}
-	lookups := make([]string, 0, len(oldRep.PredictorLookup))
-	for k := range oldRep.PredictorLookup { //bplint:allow maprange -- keys are sorted before any order-dependent use
+	lookups := make([]string, 0, len(newRep.PredictorLookup))
+	for k := range newRep.PredictorLookup { //bplint:allow maprange -- keys are sorted before any order-dependent use
 		lookups = append(lookups, k)
 	}
 	sort.Strings(lookups)
 	for _, k := range lookups {
-		if n, ok := newRep.PredictorLookup[k]; ok {
-			entries = append(entries, entry{"lookup/" + k, oldRep.PredictorLookup[k], n})
-		}
+		entries = append(entries, entry{"lookup/" + k, oldRep.PredictorLookup[k], newRep.PredictorLookup[k]})
 	}
-	if oldRep.SoACommitScan.Iterations > 0 {
-		entries = append(entries, entry{"soa_commit_scan", oldRep.SoACommitScan, newRep.SoACommitScan})
-	}
-	if oldRep.RepriceFold.Iterations > 0 {
-		entries = append(entries, entry{"reprice_fold", oldRep.RepriceFold, newRep.RepriceFold})
-	}
+	entries = append(entries,
+		entry{"soa_commit_scan", oldRep.SoACommitScan, newRep.SoACommitScan},
+		entry{"reprice_fold", oldRep.RepriceFold, newRep.RepriceFold})
 
 	ok := true
-	fmt.Printf("compare vs %s (threshold %.0f%%):\n", oldPath, regressionThreshold*100)
+	fmt.Fprintf(w, "compare vs %s (threshold %.0f%%):\n", oldPath, regressionThreshold*100)
 	for _, e := range entries {
+		if e.new.Iterations == 0 {
+			continue
+		}
 		if e.old.Iterations == 0 || e.old.NsPerOp <= 0 {
+			// Measured now but absent from the baseline: shown, not gated,
+			// until the baseline is regenerated.
+			fmt.Fprintf(w, "  %-22s %9s -> %9.2f ns/op  (no baseline; not gated)\n", e.name, "-", e.new.NsPerOp)
 			continue
 		}
 		delta := e.new.NsPerOp/e.old.NsPerOp - 1
@@ -367,7 +362,7 @@ func compareReports(oldPath string, newRep report) bool {
 		case delta < -0.05:
 			verdict = "faster"
 		}
-		fmt.Printf("  %-22s %9.2f -> %9.2f ns/op  %+6.1f%%  %s\n",
+		fmt.Fprintf(w, "  %-22s %9.2f -> %9.2f ns/op  %+6.1f%%  %s\n",
 			e.name, e.old.NsPerOp, e.new.NsPerOp, delta*100, verdict)
 	}
 	if !ok {

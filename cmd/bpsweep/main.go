@@ -194,8 +194,9 @@ func repriceReport(w io.Writer, name string) error {
 	if err := h.Err(); err != nil {
 		return err
 	}
-	st := h.RepriceStats()
-	fmt.Fprintf(w, "simulations=%d folds=%d\n", st.Simulations, st.Folds)
+	// Every cache miss the store did not answer ran one simulation.
+	st := h.Cache.Stats()
+	fmt.Fprintf(w, "simulations=%d folds=%d\n", st.Misses-st.StoreHits, st.RepriceFolds)
 	return nil
 }
 

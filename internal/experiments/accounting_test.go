@@ -69,8 +69,8 @@ func TestAccountingEquivalenceAcrossGatingStyles(t *testing.T) {
 			}
 		})
 	}
-	if st := h.RepriceStats(); st.Simulations != 1 || st.Folds != 3 {
-		t.Fatalf("reprice stats = %+v, want 1 simulation and 3 folds", st)
+	if st := h.Cache.Stats(); st.Misses != 1 || st.RepriceFolds != 3 {
+		t.Fatalf("cache stats = %+v, want 1 simulation and 3 folds", st)
 	}
 }
 
@@ -84,17 +84,17 @@ func TestAccountingEquivalenceAcrossGatingStyles(t *testing.T) {
 func TestFoldMatchesSimulationAcrossPlan(t *testing.T) {
 	rc := RunConfig{WarmupInsts: 4000, MeasureInsts: 8000}
 	var jobs []Job
-	seen, execKeys := map[runKey]bool{}, map[runKey]bool{}
+	seen, execKeys := map[cacheKey]bool{}, map[cacheKey]bool{}
 	nonBase := 0
 	for _, j := range planAll() {
-		k := runKey{j.Bench.Name, j.Opt}
+		k := cacheKey{j.Bench.Name, j.Opt, rc}
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
 		jobs = append(jobs, j)
 		execOpt, pk := SplitOptions(j.Opt)
-		execKeys[runKey{j.Bench.Name, execOpt}] = true
+		execKeys[cacheKey{j.Bench.Name, execOpt, rc}] = true
 		if !pk.IsBase() {
 			nonBase++
 		}
@@ -107,10 +107,6 @@ func TestFoldMatchesSimulationAcrossPlan(t *testing.T) {
 	h.Prefetch(jobs)
 	if err := h.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if st := h.RepriceStats(); st.Folds != uint64(nonBase) || st.Simulations != uint64(len(execKeys)) {
-		t.Fatalf("harness ran %d simulations and %d folds; want %d and %d",
-			st.Simulations, st.Folds, len(execKeys), nonBase)
 	}
 
 	progs := make([]*program.Program, len(jobs))
@@ -139,6 +135,12 @@ func TestFoldMatchesSimulationAcrossPlan(t *testing.T) {
 			t.Errorf("%s on %s: harness Run differs from its simulation:\n  %s",
 				j.Bench.Name, machineLabel(j.Opt), strings.Join(diffs, "\n  "))
 		}
+	}
+	// Prefetch plus one Simulate per job: one simulation per execution key,
+	// one fold per pricing variant.
+	if st := h.Cache.Stats(); st.RepriceFolds != uint64(nonBase) || st.Misses != uint64(len(execKeys)) {
+		t.Fatalf("harness ran %d simulations and %d folds; want %d and %d",
+			st.Misses, st.RepriceFolds, len(execKeys), nonBase)
 	}
 	t.Logf("%d jobs over %d execution keys, %d of them folded pricing variants", len(jobs), len(execKeys), nonBase)
 }

@@ -12,12 +12,11 @@ import (
 	"bpredpower/internal/workload"
 )
 
-// RunCache is a concurrency-safe, bounded memo of activity records. Every
-// Harness resolves its records through one (NewHarness gives each its own,
-// unbounded); shared across harnesses, it is the serving layer's answer to
-// the Harness memo maps, which are deliberately single-goroutine: a server
-// builds one RunCache at startup, hands it to a fresh Harness per request
-// (or resolves points on it directly with Resolve), and gets
+// RunCache is a concurrency-safe, bounded memo of activity records, and the
+// only memo of runs: every Harness resolves its Runs through one (NewHarness
+// gives each its own, unbounded). A server builds one RunCache at startup,
+// resolves points on it directly with Resolve (or hands it to a Harness per
+// figure request), and gets
 //
 //   - singleflight: concurrent demand for the same (benchmark, execution
 //     options, run-config) key runs exactly one simulation — later arrivals
@@ -100,9 +99,12 @@ type RunCacheHooks struct {
 	AfterRun  func(r Run, err error)
 }
 
-// cacheKey identifies one simulation across harnesses. Unlike runKey it
-// includes the RunConfig: a quick and a full run of the same machine point
-// are different results.
+// cacheKey identifies one simulation. cpu.Options holds only comparable
+// value types, so using it verbatim makes the key complete by construction:
+// any Options field that changes simulation behavior — including ones a
+// hand-rolled label could forget, like ClockGating — yields a distinct key.
+// The RunConfig is part of it: a quick and a full run of the same machine
+// point are different results.
 type cacheKey struct {
 	bench string
 	opt   cpu.Options
@@ -125,9 +127,9 @@ type progEntry struct {
 
 // CacheStats is a point-in-time snapshot of cache occupancy and traffic.
 type CacheStats struct {
-	// Hits/Misses count activity-record lookups (one per execution key a
-	// harness needs): hits were answered from memory, misses went to the
-	// store or ran the one base simulation.
+	// Hits/Misses count activity-record lookups (one per Resolve, and one
+	// per execution key a Prefetch plan names): hits were answered from
+	// memory, misses went to the store or ran the one base simulation.
 	Hits, Misses, Evictions uint64
 	// StoreHits/StoreMisses count memory misses answered by (or falling
 	// through) the persistent Store layer; both stay zero without one.
@@ -247,16 +249,36 @@ func (c *RunCache) DoActivity(ctx context.Context, bench string, opt cpu.Options
 	return rec, err
 }
 
-// Resolve returns the Run of benchmark b under opt at rc from the cache
-// alone, with no Harness memo: the point's execution key resolves through
-// DoActivity, one simulation on a miss, and a pricing variant is folded from
-// its record. Concurrent callers share simulations through the singleflight,
-// so a server's workers call it directly, one grid point each.
+// Resolve returns the Run of benchmark b under opt at rc: it splits opt into
+// its execution options and pricing key, gets the execution key's activity
+// record through DoActivity (one simulation on a miss), and returns the
+// record's base Run or, for a pricing variant, a Reprice fold of it, counted
+// in RepriceFolds. It is the one path from a point to its Run: a Harness's
+// Simulate calls it, and a server's workers call it directly, one point
+// each, sharing simulations through the singleflight.
 func (c *RunCache) Resolve(ctx context.Context, b workload.Benchmark, opt cpu.Options, rc RunConfig) (Run, error) {
-	r, _, err := c.resolve(opt, func(execOpt cpu.Options) (ActivityRecord, error) {
-		return c.activity(ctx, b, execOpt, rc, nil)
+	execOpt, pk := SplitOptions(opt)
+	rec, err := c.activity(ctx, b, execOpt, rc)
+	if err != nil {
+		return Run{}, err
+	}
+	if pk.IsBase() {
+		return rec.Run, nil
+	}
+	r, err := Reprice(rec, opt)
+	if err != nil {
+		return Run{}, err
+	}
+	c.count(func() { c.folds++ })
+	return r, nil
+}
+
+// activity resolves the activity record of an execution key through
+// DoActivity; a miss runs one full base simulation.
+func (c *RunCache) activity(ctx context.Context, b workload.Benchmark, execOpt cpu.Options, rc RunConfig) (ActivityRecord, error) {
+	return c.DoActivity(ctx, b.Name, execOpt, rc, func(cctx context.Context) (ActivityRecord, error) {
+		return simulate(cctx, c.Program(b), b, execOpt, rc, chunkInsts)
 	})
-	return r, err
 }
 
 // isContextErr reports whether err is a context's cancellation or deadline.

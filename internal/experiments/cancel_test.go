@@ -88,8 +88,8 @@ func TestForEachCtxPreCanceled(t *testing.T) {
 }
 
 // TestPrefetchCtxCancelResumes is the end-to-end cancellation regression: a
-// prefetch canceled mid-flight must report the context error, leave the memo
-// with only fully completed runs, and be resumable — a retry on the same
+// prefetch canceled mid-flight must report the context error, leave the cache
+// with only fully completed records, and be resumable — a retry on the same
 // harness must produce runs identical to an uninterrupted reference harness.
 func TestPrefetchCtxCancelResumes(t *testing.T) {
 	rc := RunConfig{WarmupInsts: 2000, MeasureInsts: 4000}
@@ -128,13 +128,11 @@ func TestPrefetchCtxCancelResumes(t *testing.T) {
 	if err := h.PrefetchCtx(ctx, jobs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled PrefetchCtx returned %v, want context.Canceled", err)
 	}
-	if got := len(h.runs); got >= len(jobs) {
-		t.Fatalf("canceled prefetch memoized all %d runs; cancellation never took effect", got)
-	}
-	for k, r := range h.runs {
-		if r == (Run{}) {
-			t.Fatalf("memo holds a zero run for %v: half-written entry survived cancellation", k)
-		}
+	// The plan has two execution keys; cancellation after the first
+	// completed simulation must leave only that one, and no inflight or
+	// half-written entry.
+	if st := cache.Stats(); st.Entries != 1 || st.Inflight != 0 {
+		t.Fatalf("canceled prefetch left %d entries and %d inflight, want 1 and 0", st.Entries, st.Inflight)
 	}
 
 	// Retry with a live context on the same harness: it finishes the
@@ -142,13 +140,17 @@ func TestPrefetchCtxCancelResumes(t *testing.T) {
 	if err := h.PrefetchCtx(context.Background(), jobs); err != nil {
 		t.Fatalf("resumed PrefetchCtx: %v", err)
 	}
-	if len(h.runs) != len(ref.runs) {
-		t.Fatalf("resumed harness has %d runs, reference has %d", len(h.runs), len(ref.runs))
+	if got, want := cache.Stats().Entries, ref.Cache.Stats().Entries; got != want {
+		t.Fatalf("resumed harness has %d entries, reference has %d", got, want)
 	}
-	for k, want := range ref.runs {
-		if got := h.runs[k]; got != want {
-			t.Errorf("run %v differs after cancel+resume:\n got %+v\nwant %+v", k, got, want)
+	misses := cache.Stats().Misses
+	for _, j := range jobs {
+		if got, want := h.Simulate(j.Bench, j.Opt), ref.Simulate(j.Bench, j.Opt); got != want {
+			t.Errorf("run %s differs after cancel+resume:\n got %+v\nwant %+v", machineLabel(j.Opt), got, want)
 		}
+	}
+	if st := cache.Stats(); st.Misses != misses {
+		t.Errorf("Simulate after the resumed prefetch missed %d times", st.Misses-misses)
 	}
 }
 
@@ -172,8 +174,8 @@ func TestSimulateCanceledNotMemoized(t *testing.T) {
 	if !errors.Is(h.Err(), context.Canceled) {
 		t.Errorf("harness error = %v, want context.Canceled", h.Err())
 	}
-	if len(h.runs) != 0 {
-		t.Fatalf("canceled Simulate memoized %d runs", len(h.runs))
+	if st := h.Cache.Stats(); st.Entries != 0 || st.Inflight != 0 {
+		t.Fatalf("canceled Simulate left %d entries and %d inflight", st.Entries, st.Inflight)
 	}
 
 	h.Ctx = nil
@@ -181,8 +183,8 @@ func TestSimulateCanceledNotMemoized(t *testing.T) {
 	if r == (Run{}) {
 		t.Fatal("retry after cancellation still returned a zero run")
 	}
-	if len(h.runs) != 1 {
-		t.Errorf("retry memoized %d runs, want 1", len(h.runs))
+	if st := h.Cache.Stats(); st.Entries != 1 {
+		t.Errorf("retry memoized %d records, want 1", st.Entries)
 	}
 }
 

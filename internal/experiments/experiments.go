@@ -6,11 +6,11 @@
 // 14), the prediction probe detector (Figures 16-17), and pipeline gating
 // (Figure 19).
 //
-// A Harness memoizes simulation runs (and, through its RunCache, program
-// images) so figures that share underlying sweeps (5/6/7 and 8/9/10) pay
-// for each run once. Every Run it reports comes from one simulation per
-// execution key: the base Run of that simulation's ActivityRecord, or a
-// closed-form Reprice fold of it.
+// A Harness resolves every run through its RunCache, the one memo of
+// activity records (and program images), so figures that share underlying
+// sweeps (5/6/7 and 8/9/10) pay for each simulation once. Every Run it
+// reports comes from one simulation per execution key: the base Run of that
+// simulation's ActivityRecord, or a closed-form Reprice fold of it.
 package experiments
 
 import (
@@ -70,32 +70,25 @@ type Run struct {
 	BTBMisfetches      uint64
 }
 
-// runKey identifies one simulation. cpu.Options contains only comparable
-// value types, so using it verbatim makes the key complete by construction:
-// any Options field that changes simulation behavior — including ones a
-// hand-rolled label could forget, like ClockGating — yields a distinct key.
-type runKey struct {
-	bench string
-	opt   cpu.Options
-}
-
 // Job names one simulation a figure needs: a benchmark on a machine variant.
 type Job struct {
 	Bench workload.Benchmark
 	Opt   cpu.Options
 }
 
-// Harness memoizes runs. Parallel sets the worker count used by Prefetch
-// (0 means GOMAXPROCS); the memo maps themselves are only ever touched from
-// the caller's goroutine, so a Harness is not safe for concurrent use —
-// parallelism happens inside Prefetch, not across callers.
+// Harness prints figures from simulation runs. It holds no memo of its own:
+// every Run comes from Cache (RunCache.Resolve), which owns the one copy of
+// each activity record. Parallel sets the worker count used by Prefetch (0
+// means GOMAXPROCS). The recorded error is unsynchronized, so a Harness is
+// not safe for concurrent use — parallelism happens inside Prefetch, not
+// across callers.
 //
 // Ctx, when set, is consulted between simulations and between the chunks
 // each simulation runs in (see simulate): once it is canceled the harness
 // stops starting work, records the context error (Err), and returns zero
-// Runs for anything it did not finish. Nothing partial is ever memoized, so
-// a harness that was canceled can simply be retried. A nil Ctx means
-// Background.
+// Runs for anything it did not finish. The cache never keeps a canceled
+// compute, so a harness that was canceled can simply be retried. A nil Ctx
+// means Background.
 //
 // Cache resolves every activity record and program image the harness
 // needs. NewHarness gives each harness its own unbounded RunCache; a caller
@@ -109,25 +102,16 @@ type Harness struct {
 	Ctx      context.Context
 	Cache    *RunCache
 
-	err  error
-	runs map[runKey]Run
-	acts map[runKey]ActivityRecord
-
-	actSims  atomic.Uint64 // base simulations this harness computed itself
-	actFolds atomic.Uint64 // Runs produced by folding a cached activity
+	err error
 }
 
-// NewHarness builds a harness with the given run configuration. Jobs that
-// differ only in pricing options — BankedPredictor, OldArrayModel,
-// SquarifyClosest, ClockGating — share one simulation of their execution
-// key and are folded from its activity record (see reprice.go).
+// NewHarness builds a harness with the given run configuration over a
+// fresh, unbounded RunCache. Jobs that differ only in pricing options —
+// BankedPredictor, OldArrayModel, SquarifyClosest, ClockGating — share one
+// simulation of their execution key and are folded from its activity record
+// (see reprice.go).
 func NewHarness(rc RunConfig) *Harness {
-	return &Harness{
-		RC:    rc,
-		Cache: NewRunCache(0),
-		runs:  map[runKey]Run{},
-		acts:  map[runKey]ActivityRecord{},
-	}
+	return &Harness{RC: rc, Cache: NewRunCache(0)}
 }
 
 // ctx returns the harness context, Background when none was set.
@@ -157,19 +141,18 @@ func (h *Harness) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Prefetch simulates every not-yet-memoized job on a bounded worker pool so
-// that the Simulate calls a figure subsequently makes are all cache hits.
-// Output determinism is preserved by construction:
-//   - jobs are deduplicated up front onto their execution keys (against the
-//     memo and within the list), so each execution key simulates exactly
-//     once — concurrent demand for the same run never races (singleflight
-//     by planning) — and every pricing variant is folded from that one
-//     simulation's activity record;
+// Prefetch resolves the execution key of every job on a bounded worker pool,
+// so that the Simulate calls a figure subsequently makes find their records
+// in the cache and only fold pricing variants. Output determinism is
+// preserved by construction:
+//   - jobs are deduplicated up front onto their execution keys, so each key
+//     is resolved once per plan however many pricing variants and duplicate
+//     jobs share it, and the cache's singleflight covers concurrent demand
+//     from other harnesses;
 //   - workers write only to disjoint, pre-sized slice slots and read only
 //     immutable inputs (program images are generated in a prior phase and
 //     never mutated during simulation);
-//   - the pool is joined before any result is read, and results are merged
-//     into the memo maps on the caller's goroutine.
+//   - the pool is joined before Prefetch returns.
 //
 // Printing stays with the caller, in the same order as serial execution, so
 // figure output is byte-identical for any worker count.
@@ -178,103 +161,42 @@ func (h *Harness) Prefetch(jobs []Job) {
 }
 
 // PrefetchCtx is Prefetch under an explicit context. Once ctx is canceled,
-// no new simulation starts (in-flight ones finish: cancellation latency is
-// bounded by one job) and the first context error is returned. Only fully
-// completed runs are merged into the memo, so a canceled prefetch leaves the
-// cache consistent — retrying with a live context finishes the remainder.
+// no new simulation starts (in-flight ones stop within one chunk) and the
+// first context error is returned. The cache keeps only completed records,
+// so retrying with a live context finishes the remainder.
 func (h *Harness) PrefetchCtx(ctx context.Context, jobs []Job) error {
-	// pending holds the base-pricing simulation of each execution key the
-	// plan's jobs share. Pricing variants never enter the pool — they are
-	// folded on the caller's goroutine after it joins, in microseconds.
-	seen := make(map[runKey]bool, len(jobs))
-	seenAct := make(map[runKey]bool)
+	seen := make(map[cacheKey]bool, len(jobs))
 	pending := make([]Job, 0, len(jobs))
-	folds := make([]Job, 0)
+	genSeen := map[string]bool{}
+	var gen []workload.Benchmark
 	for _, j := range jobs {
-		k := runKey{j.Bench.Name, j.Opt}
+		execOpt, _ := SplitOptions(j.Opt)
+		k := cacheKey{j.Bench.Name, execOpt, h.RC}
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		if _, ok := h.runs[k]; ok {
-			continue
+		pending = append(pending, Job{Bench: j.Bench, Opt: execOpt})
+		if !genSeen[j.Bench.Name] {
+			genSeen[j.Bench.Name] = true
+			gen = append(gen, j.Bench)
 		}
-		execOpt, pk := SplitOptions(j.Opt)
-		if !pk.IsBase() {
-			folds = append(folds, j)
-		}
-		ek := runKey{j.Bench.Name, execOpt}
-		if seenAct[ek] {
-			continue
-		}
-		seenAct[ek] = true
-		if _, ok := h.acts[ek]; !ok {
-			pending = append(pending, Job{Bench: j.Bench, Opt: execOpt})
-		}
-	}
-	if len(pending) == 0 && len(folds) == 0 {
-		return ctx.Err()
 	}
 
 	// Phase 1: generate the program images in parallel, deduplicated by
 	// benchmark (generation is independent of Options); the cache memoizes
-	// them and singleflights concurrent demand. Phase 2 simulates: workers
-	// read only these immutable images. done marks slots whose simulation
-	// ran to completion; under cancellation the others are never merged.
-	genSeen := map[string]bool{}
-	var gen []workload.Benchmark
-	for _, j := range pending {
-		if genSeen[j.Bench.Name] {
-			continue
-		}
-		genSeen[j.Bench.Name] = true
-		gen = append(gen, j.Bench)
+	// them and singleflights concurrent demand. Phase 2 resolves the
+	// execution keys: workers read only these immutable images.
+	if err := ForEachCtx(ctx, h.Workers(), len(gen), func(i int) {
+		h.Cache.Program(gen[i])
+	}); err != nil {
+		return err
 	}
-	if len(gen) > 0 {
-		if err := ForEachCtx(ctx, h.Workers(), len(gen), func(i int) {
-			h.Cache.Program(gen[i])
-		}); err != nil {
-			return err
-		}
-	}
-	recs := make([]ActivityRecord, len(pending))
 	errs := make([]error, len(pending))
-	done := make([]bool, len(pending))
-	ferr := ForEachCtx(ctx, h.Workers(), len(pending), func(i int) {
-		recs[i], errs[i] = h.Cache.activity(ctx, pending[i].Bench, pending[i].Opt, h.RC, &h.actSims)
-		done[i] = true
-	})
-	for i, j := range pending {
-		if !done[i] || errs[i] != nil {
-			continue
-		}
-		k := runKey{j.Bench.Name, j.Opt}
-		h.acts[k] = recs[i]
-		h.runs[k] = recs[i].Run
-	}
-	// Fold the pricing variants of every execution key whose activity record
-	// is in hand. A variant whose base simulation failed or was canceled is
-	// simply skipped — the memo stays consistent and a later retry (or the
-	// Simulate call itself) finishes the remainder.
-	for _, j := range folds {
-		k := runKey{j.Bench.Name, j.Opt}
-		if _, ok := h.runs[k]; ok {
-			continue
-		}
-		execOpt, _ := SplitOptions(j.Opt)
-		rec, ok := h.acts[runKey{j.Bench.Name, execOpt}]
-		if !ok {
-			continue
-		}
-		r, err := h.Cache.fold(rec, j.Opt)
-		if err != nil {
-			return err
-		}
-		h.actFolds.Add(1)
-		h.runs[k] = r
-	}
-	if ferr != nil {
-		return ferr
+	if err := ForEachCtx(ctx, h.Workers(), len(pending), func(i int) {
+		_, errs[i] = h.Cache.activity(ctx, pending[i].Bench, pending[i].Opt, h.RC)
+	}); err != nil {
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -331,7 +253,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
 }
 
 // machineLabel renders a machine variant for display (Run.Machine). It is
-// not the memo key — runKey embeds the full Options for that.
+// not the cache key — cacheKey embeds the full Options for that.
 func machineLabel(opt cpu.Options) string {
 	l := opt.Predictor.Name
 	if opt.BankedPredictor {
@@ -364,34 +286,13 @@ func machineLabel(opt cpu.Options) string {
 	return l
 }
 
-// Simulate runs one benchmark on one machine variant (memoized). When the
-// harness context is canceled it records the error (see Err) and returns a
-// zero Run without memoizing it — the miss stays a miss.
+// Simulate returns the Run of one benchmark on one machine variant,
+// resolved through the cache: a hit costs a lookup, plus a fold for a
+// pricing variant. When the harness context is canceled it records the
+// error (see Err) and returns a zero Run; the cache keeps nothing of it.
 func (h *Harness) Simulate(b workload.Benchmark, opt cpu.Options) Run {
-	key := runKey{b.Name, opt}
-	if r, ok := h.runs[key]; ok {
-		return r
-	}
-	r, folded, err := h.Cache.resolve(opt, func(execOpt cpu.Options) (ActivityRecord, error) {
-		ek := runKey{b.Name, execOpt}
-		if rec, ok := h.acts[ek]; ok {
-			return rec, nil
-		}
-		rec, err := h.Cache.activity(h.ctx(), b, execOpt, h.RC, &h.actSims)
-		if err == nil {
-			h.acts[ek] = rec
-			h.runs[ek] = rec.Run
-		}
-		return rec, err
-	})
-	if err != nil {
-		h.noteErr(err)
-		return Run{}
-	}
-	if folded {
-		h.actFolds.Add(1)
-		h.runs[key] = r
-	}
+	r, err := h.Cache.Resolve(h.ctx(), b, opt, h.RC)
+	h.noteErr(err)
 	return r
 }
 

@@ -22,13 +22,17 @@ func TestSimulateMemoizes(t *testing.T) {
 	if r1 != r2 {
 		t.Error("memoized run differs")
 	}
-	if len(h.runs) != 1 {
-		t.Errorf("expected 1 cached run, have %d", len(h.runs))
+	if st := h.Cache.Stats(); st.Entries != 1 || st.Misses != 1 {
+		t.Errorf("expected 1 cached record from 1 miss, have %d entries after %d misses", st.Entries, st.Misses)
 	}
-	// A different machine variant is a different key.
-	h.Simulate(b, cpu.Options{Predictor: bpred.Bim4k, BankedPredictor: true})
-	if len(h.runs) != 2 {
-		t.Errorf("expected 2 cached runs, have %d", len(h.runs))
+	// A pricing variant is a different Run of the same record: a fold, not
+	// a second simulation and not the base Run.
+	r3 := h.Simulate(b, cpu.Options{Predictor: bpred.Bim4k, BankedPredictor: true})
+	if st := h.Cache.Stats(); st.Entries != 1 || st.Misses != 1 || st.RepriceFolds != 1 {
+		t.Errorf("banked variant: %d entries, %d misses, %d folds; want 1, 1, 1", st.Entries, st.Misses, st.RepriceFolds)
+	}
+	if r3 == r1 {
+		t.Error("banked variant returned the flat run")
 	}
 }
 

@@ -44,30 +44,35 @@ func TestPrefetchMemoizes(t *testing.T) {
 		{b, cpu.Options{Predictor: bpred.Gsh16k12}},
 	}
 	h.Prefetch(jobs)
-	if len(h.runs) != 2 {
-		t.Errorf("expected 2 cached runs after Prefetch, have %d", len(h.runs))
+	if st := h.Cache.Stats(); st.Entries != 2 || st.Misses != 2 {
+		t.Errorf("expected 2 cached records from 2 misses after Prefetch, have %d entries after %d misses", st.Entries, st.Misses)
 	}
-	want := h.runs[runKey{b.Name, cpu.Options{Predictor: bpred.Bim4k}}]
-	if got := h.Simulate(b, cpu.Options{Predictor: bpred.Bim4k}); got != want {
-		t.Error("Simulate after Prefetch did not hit the cache")
+	want := h.Simulate(b, cpu.Options{Predictor: bpred.Bim4k})
+	if st := h.Cache.Stats(); st.Misses != 2 {
+		t.Errorf("Simulate after Prefetch missed the cache: %d misses", st.Misses)
 	}
-	// A second Prefetch of the same plan is a no-op.
+	ref := NewHarness(h.RC).Simulate(b, cpu.Options{Predictor: bpred.Bim4k})
+	if want != ref {
+		t.Error("prefetched run differs from a fresh simulation")
+	}
+	// A second Prefetch of the same plan simulates nothing.
 	h.Prefetch(jobs)
-	if len(h.runs) != 2 {
-		t.Errorf("re-Prefetch grew the cache to %d runs", len(h.runs))
+	if st := h.Cache.Stats(); st.Entries != 2 || st.Misses != 2 {
+		t.Errorf("re-Prefetch grew the cache to %d entries after %d misses", st.Entries, st.Misses)
 	}
 }
 
 // TestClockGatingDistinctKeys is the regression test for the memoization-key
-// bug: two Options differing only in ClockGating must occupy distinct cache
-// slots (the old string label ignored the field and collided).
+// bug: two Options differing only in ClockGating must price differently
+// (the old string label ignored the field and collided). The CC0 run is a
+// fold of the CC3 record, not the CC3 Run served again.
 func TestClockGatingDistinctKeys(t *testing.T) {
 	h := NewHarness(RunConfig{WarmupInsts: 2000, MeasureInsts: 4000})
 	b, _ := workload.ByName("164.gzip")
 	cc3 := h.Simulate(b, cpu.Options{Predictor: bpred.Bim4k}) // CC3 is the zero value
 	cc0 := h.Simulate(b, cpu.Options{Predictor: bpred.Bim4k, ClockGating: power.CC0})
-	if len(h.runs) != 2 {
-		t.Fatalf("ClockGating variants collided: %d cached runs, want 2", len(h.runs))
+	if st := h.Cache.Stats(); st.Entries != 1 || st.RepriceFolds != 1 {
+		t.Fatalf("ClockGating variants collided: %d cached records and %d folds, want 1 and 1", st.Entries, st.RepriceFolds)
 	}
 	if cc0.TotalEnergy <= cc3.TotalEnergy {
 		t.Errorf("CC0 (no clock gating) energy %g should exceed CC3 energy %g",

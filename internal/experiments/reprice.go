@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"sync"
-	"sync/atomic"
 
 	"bpredpower/internal/cpu"
 	"bpredpower/internal/power"
-	"bpredpower/internal/workload"
 )
 
 // This file splits a run's identity into an execution key and a pricing key,
@@ -129,8 +126,8 @@ type foldMeter struct {
 	m  *power.Meter
 }
 
-// foldMeters memoizes cpu.NewMeter by the full Options — the same key
-// runKey uses — so every field that shapes the unit set is part of it.
+// foldMeters memoizes cpu.NewMeter by the full Options, so every field that
+// shapes the unit set is part of the key.
 var foldMeters = struct {
 	sync.Mutex
 	byOpt map[cpu.Options]*foldMeter
@@ -161,63 +158,4 @@ func foldMeterFor(opt cpu.Options) (*foldMeter, error) {
 	fm = &foldMeter{m: m}
 	foldMeters.byOpt[opt] = fm
 	return fm, nil
-}
-
-// RepriceStats is a harness's activity-path traffic, for CLI display and
-// tests: how many base simulations this harness actually ran, and how many
-// Runs it produced by folding instead of simulating.
-type RepriceStats struct {
-	Simulations uint64
-	Folds       uint64
-}
-
-// RepriceStats reports this harness's own reprice traffic. Simulations
-// counts base runs computed by this harness's compute functions (cache and
-// store hits are not included — those are exactly the simulations repricing
-// avoided). Folds counts Runs produced via Reprice.
-func (h *Harness) RepriceStats() RepriceStats {
-	return RepriceStats{Simulations: h.actSims.Load(), Folds: h.actFolds.Load()}
-}
-
-// resolve is the one sequence from a point to its Run, shared by
-// Harness.Simulate and RunCache.Resolve: split opt into its execution options
-// and pricing key, get the execution key's activity record from act, and
-// return the record's base Run or, for a pricing variant, a fold of it.
-// folded reports the latter.
-func (c *RunCache) resolve(opt cpu.Options, act func(execOpt cpu.Options) (ActivityRecord, error)) (r Run, folded bool, err error) {
-	execOpt, pk := SplitOptions(opt)
-	rec, err := act(execOpt)
-	if err != nil {
-		return Run{}, false, err
-	}
-	if pk.IsBase() {
-		return rec.Run, false, nil
-	}
-	if r, err = c.fold(rec, opt); err != nil {
-		return Run{}, false, err
-	}
-	return r, true, nil
-}
-
-// activity resolves the activity record of an execution key through the
-// cache (singleflight + persistent store); a miss runs one full base
-// simulation, counted on sims when it is non-nil.
-func (c *RunCache) activity(ctx context.Context, b workload.Benchmark, execOpt cpu.Options, rc RunConfig, sims *atomic.Uint64) (ActivityRecord, error) {
-	return c.DoActivity(ctx, b.Name, execOpt, rc, func(cctx context.Context) (ActivityRecord, error) {
-		if sims != nil {
-			sims.Add(1)
-		}
-		return simulate(cctx, c.Program(b), b, execOpt, rc, chunkInsts)
-	})
-}
-
-// fold reprices a record under opt and counts the fold on the cache, so
-// /metrics sees fold traffic wherever the cache is shared.
-func (c *RunCache) fold(rec ActivityRecord, opt cpu.Options) (Run, error) {
-	r, err := Reprice(rec, opt)
-	if err != nil {
-		return Run{}, err
-	}
-	c.count(func() { c.folds++ })
-	return r, nil
 }

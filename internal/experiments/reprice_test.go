@@ -92,14 +92,14 @@ func TestRepriceMatchesFullSimulation(t *testing.T) {
 			t.Fatalf("pricing key %+v: repriced run differs from simulation: %v", pk, diffs)
 		}
 	}
-	st := repriced.RepriceStats()
-	if st.Simulations != 1 {
-		t.Fatalf("repricing harness ran %d simulations, want 1", st.Simulations)
+	st := repriced.Cache.Stats()
+	if st.Misses != 1 {
+		t.Fatalf("repricing harness ran %d simulations, want 1", st.Misses)
 	}
 	// Exactly one matrix entry is the base key (all false, CC3); every
 	// other variant must have been folded, not simulated.
-	if want := uint64(len(pricingMatrix()) - 1); st.Folds != want {
-		t.Fatalf("folds = %d, want %d", st.Folds, want)
+	if want := uint64(len(pricingMatrix()) - 1); st.RepriceFolds != want {
+		t.Fatalf("folds = %d, want %d", st.RepriceFolds, want)
 	}
 }
 
@@ -162,8 +162,8 @@ func TestPrefetchOneSimulationPerExecutionKey(t *testing.T) {
 	if sims != 1 {
 		t.Fatalf("second harness re-simulated: %d computes", sims)
 	}
-	if st := h2.RepriceStats(); st.Simulations != 0 {
-		t.Fatalf("second harness reports %d own simulations, want 0", st.Simulations)
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Fatalf("second harness missed the cache: %d misses, want 1", st.Misses)
 	}
 }
 

@@ -117,7 +117,8 @@ func Open(dir string, cfg Config) (*Store, error) {
 
 // keyString renders the canonical key. %#v over the comparable Options and
 // RunConfig values prints every field (exported or not), so the key is
-// complete by construction — the same property runKey/cacheKey rely on.
+// complete by construction — the same property the in-memory cacheKey
+// relies on.
 func keyString(bench string, opt cpu.Options, rc experiments.RunConfig) string {
 	return fmt.Sprintf("v%d|%s|%#v|%#v", schemaVersion, bench, opt, rc)
 }

@@ -25,6 +25,20 @@ const maxWindowInsts = 5_000_000
 // maxBodyBytes bounds the simulate request body.
 const maxBodyBytes = 1 << 20
 
+// maxTimeoutMS caps a request's timeout_ms: one day is beyond any deadline
+// the server would grant anyway. Both /v1/simulate and /v1/sweeps reject a
+// negative or larger value.
+const maxTimeoutMS = 24 * 60 * 60 * 1000
+
+// withTimeoutMS tightens ctx's deadline to ms milliseconds from now; ms == 0
+// leaves it unchanged. ms must already be validated against maxTimeoutMS.
+func withTimeoutMS(ctx context.Context, ms int64) (context.Context, context.CancelFunc) {
+	if ms == 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+}
+
 // PredictorInfo is one row of GET /v1/predictors.
 type PredictorInfo struct {
 	Name   string      `json:"name"`
@@ -69,7 +83,8 @@ type SimulateRequest struct {
 	Banked       bool   `json:"banked,omitempty"`
 	WarmupInsts  uint64 `json:"warmup_insts,omitempty"`
 	MeasureInsts uint64 `json:"measure_insts,omitempty"`
-	// TimeoutMS tightens (never loosens) the server's request deadline.
+	// TimeoutMS tightens (never loosens) the server's request deadline: a
+	// non-negative integer of at most one day (0 = no tightening).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -220,29 +235,27 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
+	if _, err := wireCount("timeout_ms", float64(req.TimeoutMS), maxTimeoutMS); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
+	// Like a sweep, each benchmark resolves through the shared RunCache on
+	// the worker pool; the first error in index order decides the status.
+	ctx, cancel := withTimeoutMS(r.Context(), req.TimeoutMS)
+	defer cancel()
 	opt := cpu.Options{Predictor: spec, BankedPredictor: req.Banked}
-	h := s.harness(ctx, rc)
-	jobs := make([]experiments.Job, len(bs))
-	for i, b := range bs {
-		jobs[i] = experiments.Job{Bench: b, Opt: opt}
-	}
-	if err := h.PrefetchCtx(ctx, jobs); err != nil {
-		code, msg := httpStatusFor(err)
-		writeError(w, code, msg)
-		return
-	}
-	runs := h.SimulateAll(bs, opt)
-	if err := h.Err(); err != nil {
-		code, msg := httpStatusFor(err)
-		writeError(w, code, msg)
-		return
+	runs := make([]experiments.Run, len(bs))
+	errs := make([]error, len(bs))
+	ferr := experiments.ForEachCtx(ctx, s.cfg.Parallel, len(bs), func(i int) {
+		runs[i], errs[i] = s.Cache.Resolve(ctx, bs[i], opt, rc)
+	})
+	for _, err := range append(errs, ferr) {
+		if err != nil {
+			code, msg := httpStatusFor(err)
+			writeError(w, code, msg)
+			return
+		}
 	}
 
 	resp := SimulateResponse{
@@ -313,8 +326,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	h := s.harness(ctx, rc)
+	h := &experiments.Harness{RC: rc, Parallel: s.cfg.Parallel, Ctx: r.Context(), Cache: s.Cache}
 	var buf bytes.Buffer
 	fig(h, &buf)
 	if err := h.Err(); err != nil {

@@ -1,9 +1,11 @@
 // Package service exposes the experiment harness over HTTP/JSON: bpserved's
-// handlers, middleware, metrics, and request batching live here. The
-// simulation library stays deliberately context-free and single-goroutine in
-// its memoization; this layer adds the serving hygiene around it — request
-// deadlines and client-disconnect cancellation (via Harness.Ctx), a shared
-// bounded run cache with singleflight (experiments.RunCache), a global
+// handlers, middleware, metrics, and request batching live here. Every run a
+// request needs resolves through one shared, bounded run cache
+// (experiments.RunCache): /v1/simulate and /v1/sweeps call its Resolve on a
+// worker pool, one point each, and /v1/figures runs the CLI's figure code on
+// a Harness over the same cache. The simulation core stays context-free;
+// this layer adds the serving hygiene around it — request deadlines and
+// client-disconnect cancellation, singleflight across requests, a global
 // concurrency gate so a burst of requests cannot oversubscribe the host,
 // structured request logs with stable request IDs, and a /metrics +
 // /debug/pprof observability surface.
@@ -121,14 +123,3 @@ func New(cfg Config) *Server {
 
 // Handler returns the root handler to mount on an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// harness builds the per-request harness: private memo maps (figure
-// functions expect single-goroutine semantics) backed by the server's shared
-// cache in place of its own, and bound to the request context.
-func (s *Server) harness(ctx context.Context, rc experiments.RunConfig) *experiments.Harness {
-	h := experiments.NewHarness(rc)
-	h.Parallel = s.cfg.Parallel
-	h.Ctx = ctx
-	h.Cache = s.Cache
-	return h
-}

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -123,7 +124,8 @@ func TestSimulateUnknownPredictor(t *testing.T) {
 }
 
 // TestSimulateBadRequests sweeps the 400 surface: bad JSON, unknown
-// workload, unknown fidelity, oversized window.
+// workload, unknown fidelity, oversized window, and a timeout_ms that is
+// negative, overflows a time.Duration, or exceeds the one-day cap.
 func TestSimulateBadRequests(t *testing.T) {
 	srv := New(testConfig())
 	ts := httptest.NewServer(srv.Handler())
@@ -134,6 +136,9 @@ func TestSimulateBadRequests(t *testing.T) {
 		{"unknown workload", `{"predictor":"Bim_4k","workload":"999.nope"}`},
 		{"unknown fidelity", `{"predictor":"Bim_4k","workload":"164.gzip","fidelity":"exact"}`},
 		{"oversized window", `{"predictor":"Bim_4k","workload":"164.gzip","measure_insts":99000000}`},
+		{"negative timeout", `{"predictor":"Bim_4k","workload":"164.gzip","timeout_ms":-1}`},
+		{"overflowing timeout", `{"predictor":"Bim_4k","workload":"164.gzip","timeout_ms":9223372036854775807}`},
+		{"timeout over a day", `{"predictor":"Bim_4k","workload":"164.gzip","timeout_ms":86400001}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := postSimulate(t, ts, tc.body)
@@ -326,6 +331,33 @@ func TestParallelDeterminism(t *testing.T) {
 	par := render(4)
 	if !bytes.Equal(serial, par) {
 		t.Errorf("responses differ across worker counts:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s", serial, par)
+	}
+}
+
+// TestServiceGoldens pins the bytes of GET /v1/predictors and of one
+// POST /v1/simulate against the goldens the verify.sh service smoke diffs,
+// at one and at four workers.
+func TestServiceGoldens(t *testing.T) {
+	const simBody = `{"predictor":"Hybrid_1","workload":"164.gzip","fidelity":"quick","warmup_insts":4000,"measure_insts":8000}`
+	wantPreds, err := os.ReadFile("../../cmd/bpserved/testdata/predictors.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSim, err := os.ReadFile("../../cmd/bpserved/testdata/simulate.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.Parallel = parallel
+		ts := httptest.NewServer(New(cfg).Handler())
+		if resp, data := get(t, ts, "/v1/predictors"); resp.StatusCode != http.StatusOK || !bytes.Equal(data, wantPreds) {
+			t.Errorf("parallel=%d: /v1/predictors (status %d) differs from predictors.golden:\n%s", parallel, resp.StatusCode, data)
+		}
+		if resp, data := postSimulate(t, ts, simBody); resp.StatusCode != http.StatusOK || !bytes.Equal(data, wantSim) {
+			t.Errorf("parallel=%d: /v1/simulate (status %d) differs from simulate.golden:\n%s", parallel, resp.StatusCode, data)
+		}
+		ts.Close()
 	}
 }
 

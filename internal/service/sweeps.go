@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"sync"
-	"time"
 
 	"bpredpower/internal/bpred"
 	"bpredpower/internal/cpu"
@@ -135,8 +134,7 @@ func decodeSweepRequest(data []byte) (SweepRequest, error) {
 	if err != nil {
 		return req, err
 	}
-	// One day is beyond any deadline the server would grant anyway.
-	timeout, err := wireCount("timeout_ms", w.TimeoutMS, 24*60*60*1000)
+	timeout, err := wireCount("timeout_ms", w.TimeoutMS, maxTimeoutMS)
 	if err != nil {
 		return req, err
 	}
@@ -296,12 +294,8 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 	hdr.ID = sweepID(hdr, rc)
 
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := withTimeoutMS(r.Context(), req.TimeoutMS)
+	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-ID", hdr.ID)
 	w.WriteHeader(http.StatusOK)
